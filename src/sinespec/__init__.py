@@ -4,16 +4,9 @@ coefficients, dense symmetric eigensolves with refinement-based trust
 annotations, regularized trace identities with tail acceleration, and
 recovery of coefficient functions from shifted-family spectra."""
 
-from .coeffs import ZERO, Coefficient, CosineSeq, Functionals, big_P, build_V
+from .coeffs import ZERO, Coefficient, Functionals, big_P, build_V
 from .errors import CoefficientFileError, NumericError, PreconditionError
-from .eigensolve import (
-    Spectrum,
-    jacobi_eigenvalues,
-    spectrum,
-    tridiag_eigenvalues,
-    tridiagonalize,
-    trust_scale,
-)
+from .eigensolve import Spectrum, spectrum, trust_scale
 from .inverse import SweepResult, fit_trig, recover_Q, recover_V, recover_q, sweep
 from .linalg import compensated_cumsum, graded_eigh, graded_eigvalsh
 from .operators import (
@@ -53,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Coefficient",
-    "CosineSeq",
     "Functionals",
     "ZERO",
     "big_P",
@@ -73,9 +65,6 @@ __all__ = [
     "multiplication_matrix",
     "Spectrum",
     "spectrum",
-    "tridiagonalize",
-    "tridiag_eigenvalues",
-    "jacobi_eigenvalues",
     "trust_scale",
     "graded_eigvalsh",
     "graded_eigh",

@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffs import ZERO, Coefficient
 from .errors import CoefficientFileError, NumericError, PreconditionError
 from .eigensolve import spectrum
-from .inverse import recover_Q, recover_V, recover_q, sweep
+from .inverse import recover_Q, recover_V, recover_q, sweep, target_kind
 from .operators import (
     KIND_FOURTH_ORDER,
     KIND_SECOND_ORDER,
@@ -51,43 +50,6 @@ _KIND_FLAGS = {
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters with defaults already applied."""
-
-    command: str
-    p_path: str | None = None
-    q_path: str | None = None
-    Q_path: str | None = None
-    n_basis: int = 256
-    k_trunc: int = 64
-    mode: str = "fourier"
-    grid: int = 16
-    out: str | None = None
-    format: str = "csv"
-    tau: float = 0.0
-    formula: str | None = None
-    variant: str | None = None
-    kind: str = "H"
-    recover: str | None = None
-    tol: float | None = None
-    center_q: bool = False
-    dump_matrix: str | None = None
-    full_spectra: bool = False
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls(command=args.command)
-        for name in vars(cfg):
-            if hasattr(args, name):
-                setattr(cfg, name, getattr(args, name))
-        if cfg.n_basis < 2 * cfg.k_trunc:
-            raise PreconditionError(
-                f"basis size N={cfg.n_basis} must satisfy N >= 2K (K={cfg.k_trunc})"
-            )
-        return cfg
 
 
 def load_coefficient(path: str | None) -> Coefficient:
@@ -132,34 +94,34 @@ def _csv(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _coeffs(cfg: RunConfig) -> CoefficientSet:
+def _coeffs(args: argparse.Namespace) -> CoefficientSet:
     return CoefficientSet(
-        p=load_coefficient(cfg.p_path),
-        q=load_coefficient(cfg.q_path),
-        Q=load_coefficient(cfg.Q_path),
+        p=load_coefficient(args.p_path),
+        q=load_coefficient(args.q_path),
+        Q=load_coefficient(args.Q_path),
     )
 
 
-def _operator_spec(cfg: RunConfig) -> OperatorSpec:
-    cs = _coeffs(cfg)
-    return OperatorSpec(_KIND_FLAGS[cfg.kind], p=cs.p, q=cs.q, Q=cs.Q, tau=cfg.tau)
+def _operator_spec(args: argparse.Namespace) -> OperatorSpec:
+    cs = _coeffs(args)
+    return OperatorSpec(_KIND_FLAGS[args.kind], p=cs.p, q=cs.q, Q=cs.Q, tau=args.tau)
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    spec = _operator_spec(cfg)
-    if cfg.dump_matrix:
-        a = assemble_spec(spec, cfg.n_basis).a
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    spec = _operator_spec(args)
+    if args.dump_matrix:
+        a = assemble_spec(spec, args.n_basis).a
         _write_text(
-            cfg.dump_matrix,
+            args.dump_matrix,
             "\n".join(",".join(_fmt(v) for v in row) for row in a) + "\n",
         )
-    s = spectrum(spec, cfg.n_basis)
+    s = spectrum(spec, args.n_basis)
     rows = [
         (i + 1, float(s.vals[i]), float(s.est_abs_err[i]), int(i < s.n_trusted))
         for i in range(s.basis_n)
     ]
-    if cfg.out:
-        if cfg.format == "json":
+    if args.out:
+        if args.format == "json":
             payload = {
                 "kind": s.kind,
                 "basis_n": s.basis_n,
@@ -167,32 +129,32 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                 "vals": [float(v) for v in s.vals],
                 "est_abs_err": [float(v) for v in s.est_abs_err],
             }
-            _write_text(cfg.out, json.dumps(payload, indent=2) + "\n")
+            _write_text(args.out, json.dumps(payload, indent=2) + "\n")
         else:
-            _write_text(cfg.out, _csv(rows, ["n", "value", "est_abs_err", "trusted"]))
+            _write_text(args.out, _csv(rows, ["n", "value", "est_abs_err", "trusted"]))
     print(f"kind={s.kind} basis={s.basis_n} n_trusted={s.n_trusted}")
     return EXIT_OK
 
 
-def cmd_trace(cfg: RunConfig) -> int:
-    formula = FormulaId(cfg.formula)
+def cmd_trace(args: argparse.Namespace) -> int:
+    formula = FormulaId(args.formula)
     report = verify(
         formula,
-        _coeffs(cfg),
-        n=cfg.n_basis,
-        k=cfg.k_trunc,
-        mode=cfg.mode,
-        tau=cfg.tau,
-        center_q=cfg.center_q,
+        _coeffs(args),
+        n=args.n_basis,
+        k=args.k_trunc,
+        mode=args.mode,
+        tau=args.tau,
+        center_q=args.center_q,
     )
-    tol = cfg.tol if cfg.tol is not None else DEFAULT_TOLERANCES[formula]
+    tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES[formula]
     ok = abs(report.gap) <= tol
-    if cfg.out:
-        if cfg.format == "json":
-            _write_text(cfg.out, json.dumps(report.to_dict(), indent=2) + "\n")
+    if args.out:
+        if args.format == "json":
+            _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
         else:
             _write_text(
-                cfg.out,
+                args.out,
                 _csv(report.csv_rows(), ["K", "S_K", "accelerated", "rhs", "gap"]),
             )
     print(
@@ -202,17 +164,17 @@ def cmd_trace(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-def cmd_dispute(cfg: RunConfig) -> int:
+def cmd_dispute(args: argparse.Namespace) -> int:
     report = dispute(
-        DisputeVariant(cfg.variant),
-        load_coefficient(cfg.p_path),
-        q=load_coefficient(cfg.q_path) if cfg.q_path else None,
-        n=cfg.n_basis,
-        k=cfg.k_trunc,
-        tol=cfg.tol if cfg.tol is not None else 1e-2,
+        DisputeVariant(args.variant),
+        load_coefficient(args.p_path),
+        q=load_coefficient(args.q_path) if args.q_path else None,
+        n=args.n_basis,
+        k=args.k_trunc,
+        tol=args.tol if args.tol is not None else 1e-2,
     )
-    if cfg.out:
-        _write_text(cfg.out, json.dumps(report.to_dict(), indent=2) + "\n")
+    if args.out:
+        _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
     print(
         f"dispute={report.variant.value} verdict={report.verdict} "
         f"computed={_fmt(report.computed_lhs)} variant_rhs={_fmt(report.variant_rhs)} "
@@ -221,19 +183,19 @@ def cmd_dispute(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_asym(cfg: RunConfig) -> int:
-    cs = _coeffs(cfg)
-    spec = OperatorSpec(KIND_FOURTH_ORDER, p=cs.p, q=cs.q, Q=cs.Q, tau=cfg.tau)
-    report = asym_residuals(spec, n=cfg.n_basis, k=cfg.k_trunc)
-    if cfg.out:
-        if cfg.format == "json":
-            _write_text(cfg.out, json.dumps(report.to_dict(), indent=2) + "\n")
+def cmd_asym(args: argparse.Namespace) -> int:
+    cs = _coeffs(args)
+    spec = OperatorSpec(KIND_FOURTH_ORDER, p=cs.p, q=cs.q, Q=cs.Q, tau=args.tau)
+    report = asym_residuals(spec, n=args.n_basis, k=args.k_trunc)
+    if args.out:
+        if args.format == "json":
+            _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
         else:
             rows = [
                 (i + 1, float(r), float((i + 1) ** 2 * abs(r)))
                 for i, r in enumerate(report.residuals)
             ]
-            _write_text(cfg.out, _csv(rows, ["n", "residual", "n2_abs_residual"]))
+            _write_text(args.out, _csv(rows, ["n", "residual", "n2_abs_residual"]))
     print(
         f"fitted_C={_fmt(report.fitted_c)} over n in [{report.fit_lo}, {report.fit_hi}] "
         f"basis={report.basis_n}"
@@ -241,29 +203,23 @@ def cmd_asym(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_localize(cfg: RunConfig) -> int:
-    s = spectrum(_operator_spec(cfg), cfg.n_basis)
+def cmd_localize(args: argparse.Namespace) -> int:
+    s = spectrum(_operator_spec(args), args.n_basis)
     report = localization(s)
-    if cfg.out:
-        _write_text(cfg.out, json.dumps(report.to_dict(), indent=2) + "\n")
+    if args.out:
+        _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
     print(
         f"n0={report.n0} violations={len(report.violations)} horizon={report.horizon}"
     )
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    target = {"V": "V", "q": "q", "Q": "Q", "p2": "p_second_order"}[cfg.recover]
-    cs = _coeffs(cfg)
-    kind = {
-        "V": KIND_FOURTH_ORDER,
-        "q": KIND_FOURTH_ORDER,
-        "Q": KIND_SQUARE_PLUS_Q,
-        "p_second_order": KIND_SECOND_ORDER,
-    }[target]
-    template = OperatorSpec(kind, p=cs.p, q=cs.q, Q=cs.Q)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    target = {"V": "V", "q": "q", "Q": "Q", "p2": "p_second_order"}[args.recover]
+    cs = _coeffs(args)
+    template = OperatorSpec(target_kind(target), p=cs.p, q=cs.q, Q=cs.Q)
     result = sweep(
-        template, cfg.grid, n=cfg.n_basis, k=cfg.k_trunc, mode=cfg.mode, target=target
+        template, args.grid, n=args.n_basis, k=args.k_trunc, mode=args.mode, target=target
     )
     if target == "q":
         recover_q(result)
@@ -280,8 +236,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         )
         for i in range(len(result.taus))
     ]
-    if cfg.out:
-        if cfg.format == "json":
+    if args.out:
+        if args.format == "json":
             payload = {
                 "target": result.target,
                 "mode": result.mode,
@@ -295,7 +251,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 "sum_branch": [float(v) for v in result.sum_branch],
                 "wrap_gap": result.wrap_gap(),
             }
-            if cfg.full_spectra:
+            if args.full_spectra:
                 payload["spectra"] = [
                     {
                         key: {
@@ -307,10 +263,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     }
                     for specs in result.spectra
                 ]
-            _write_text(cfg.out, json.dumps(payload, indent=2) + "\n")
+            _write_text(args.out, json.dumps(payload, indent=2) + "\n")
         else:
             _write_text(
-                cfg.out,
+                args.out,
                 _csv(rows, ["tau", "recovered_value", "accelerated_sum", "n_trusted"]),
             )
     print(
@@ -383,8 +339,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except (PreconditionError, CoefficientFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -26,7 +26,6 @@ from .errors import PreconditionError
 __all__ = [
     "Coefficient",
     "Functionals",
-    "CosineSeq",
     "ZERO",
     "big_P",
     "build_V",
@@ -225,8 +224,8 @@ class Coefficient:
             total += wa[j] * 2.0 / (math.pi * j)
         return float(total)
 
-    def cosine_coeffs(self, k_max: int) -> "CosineSeq":
-        """Closed-form cosine transform c_k = int_0^1 f(x) cos(pi k x) dx.
+    def cosine_coeffs(self, k_max: int) -> np.ndarray:
+        """Closed-form cosine transform c_k = int_0^1 f cos(pi k x) dx, k = 0..k_max.
 
         Frequency-j cosine terms contribute u_j/2 exactly at k = j; sine
         terms couple to every k of opposite parity with weight
@@ -246,7 +245,7 @@ class Coefficient:
             ks = np.arange(start, k_max + 1, 2, dtype=float)
             if ks.size:
                 c[start :: 2] += wa[j] * (2.0 * j / math.pi) / (j * j - ks * ks)
-        return CosineSeq(c=c)
+        return c
 
     def functionals(self) -> "Functionals":
         """All scalar functionals in closed form from the amplitudes."""
@@ -314,24 +313,6 @@ class Functionals:
     d1_1: float
     d2_0: float
     d2_1: float
-
-
-@dataclass(eq=False)
-class CosineSeq:
-    """Cosine transform values c_k = int_0^1 f cos(pi k x) dx, k = 0..k_max."""
-
-    c: np.ndarray
-
-    @property
-    def k_max(self) -> int:
-        return self.c.size - 1
-
-    def at(self, k: int) -> float:
-        return float(self.c[k])
-
-    def even(self, n: int) -> float:
-        """c_{2n}, the full-period cosine coefficient int f cos(2 pi n x) dx."""
-        return float(self.c[2 * n])
 
 
 ZERO = Coefficient()

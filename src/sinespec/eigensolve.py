@@ -1,195 +1,30 @@
-"""Dense symmetric eigensolvers and refinement-annotated spectra.
+"""Refinement-annotated spectra.
 
-Production solves go through LAPACK on the index-flipped matrix (see
-``linalg.graded_eigvalsh``).  The module also carries a self-contained
-Householder reduction and an implicit-shift QL iteration, plus a cyclic
-Jacobi solver; the hand-rolled routines cross-check each other and the
-LAPACK route in the test suite and stay independent of the production
-path.
+Solves go through LAPACK on the index-flipped matrix (see
+``linalg.graded_eigvalsh``).  The test suite checks that route against
+hand-rolled Householder/QL and Jacobi solvers kept in ``tests/``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, PreconditionError
+from .errors import PreconditionError
 from .linalg import graded_eigvalsh
-from .operators import (
-    KIND_SECOND_ORDER,
-    GalerkinMatrix,
-    OperatorSpec,
-    assemble_spec,
-)
+from .operators import KIND_SECOND_ORDER, OperatorSpec, assemble_spec
 
 __all__ = [
-    "tridiagonalize",
-    "tridiag_eigenvalues",
-    "jacobi_eigenvalues",
     "Spectrum",
     "spectrum",
     "trust_scale",
     "TRUST_TOL_DEFAULT",
 ]
 
-_EPS = float(np.finfo(float).eps)
-
+# an eigenvalue is trusted while its N -> 2N change stays below this
+# fraction of the unperturbed eigenvalue (pi n)^2 or (pi n)^4
 TRUST_TOL_DEFAULT = 1e-6
-
-
-def _as_matrix(a) -> np.ndarray:
-    if isinstance(a, GalerkinMatrix):
-        a = a.a
-    m = np.array(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(m)):
-        raise NumericError("matrix has non-finite entries")
-    if not np.array_equal(m, m.T):
-        raise ValueError("matrix must be symmetric")
-    return m
-
-
-def tridiagonalize(a):
-    """Householder similarity reduction to symmetric tridiagonal form.
-
-    Returns (diag, offdiag, basis_change) with
-    basis_change @ T @ basis_change.T reconstructing the input.  Columns
-    that are already in tridiagonal form are left untouched, so a
-    tridiagonal input comes back unchanged with an identity basis change.
-    """
-    m = _as_matrix(a)
-    n = m.shape[0]
-    basis = np.eye(n)
-    for k in range(n - 2):
-        x = m[k + 1 :, k]
-        if x.size < 2 or np.max(np.abs(x[1:]), initial=0.0) == 0.0:
-            continue
-        alpha = -math.copysign(np.linalg.norm(x), x[0] if x[0] != 0.0 else 1.0)
-        v = x.copy()
-        v[0] -= alpha
-        v /= np.linalg.norm(v)
-        block = m[k + 1 :, k + 1 :]
-        y = block @ v
-        z = 2.0 * (y - (v @ y) * v)
-        block -= np.outer(v, z)
-        block -= np.outer(z, v)
-        m[k + 1, k] = alpha
-        m[k + 2 :, k] = 0.0
-        m[k, k + 1] = alpha
-        m[k, k + 2 :] = 0.0
-        basis[:, k + 1 :] -= 2.0 * np.outer(basis[:, k + 1 :] @ v, v)
-    return np.diag(m).copy(), np.diag(m, 1).copy(), basis
-
-
-def tridiag_eigenvalues(diag, offdiag, max_sweeps: int = 50):
-    """All eigenvalues of a symmetric tridiagonal matrix, sorted ascending.
-
-    Implicit-shift QL iteration with Wilkinson shifts; each eigenvalue
-    converges to absolute accuracy on the order of eps * ||T||.
-    """
-    d = np.array(diag, dtype=float)
-    n = d.size
-    e_in = np.asarray(offdiag, dtype=float)
-    if e_in.size != max(n - 1, 0):
-        raise ValueError("offdiag must have length n - 1")
-    if n == 0:
-        return d
-    e = np.zeros(n)
-    e[: n - 1] = e_in
-    for low in range(n):
-        sweeps = 0
-        while True:
-            for m in range(low, n - 1):
-                if abs(e[m]) <= _EPS * (abs(d[m]) + abs(d[m + 1])):
-                    break
-            else:
-                m = n - 1
-            if m == low:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise NumericError(
-                    f"QL iteration failed to converge within {max_sweeps} sweeps"
-                )
-            # Wilkinson shift from the leading 2x2
-            g = (d[low + 1] - d[low]) / (2.0 * e[low])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[low] + e[low] / (g + math.copysign(r, g))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, low - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if underflow:
-                continue
-            d[low] -= p
-            e[low] = g
-            e[m] = 0.0
-    return np.sort(d)
-
-
-def jacobi_eigenvalues(a, size_cap: int = 128, max_sweeps: int = 50):
-    """Cyclic Jacobi eigenvalues, sorted ascending.
-
-    Independent oracle for the QL path; rotations run until the
-    off-diagonal Frobenius mass falls below 1e-13 * ||A||_F.  Intended
-    for modest sizes, hence the cap.
-    """
-    m = _as_matrix(a)
-    n = m.shape[0]
-    if n > size_cap:
-        raise ValueError(f"jacobi solver capped at size {size_cap}")
-    norm = np.linalg.norm(m)
-    if norm == 0.0:
-        return np.zeros(n)
-    hollow = np.ones((n, n)) - np.eye(n)
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(m * hollow)
-        if off < 1e-13 * norm:
-            return np.sort(np.diag(m))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= 1e-18 * (abs(m[p, p]) + abs(m[q, q])):
-                    # negligible against the local diagonal; annihilate directly
-                    m[p, q] = 0.0
-                    m[q, p] = 0.0
-                    continue
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                col_p = m[:, p].copy()
-                col_q = m[:, q].copy()
-                m[:, p] = c * col_p - s * col_q
-                m[:, q] = s * col_p + c * col_q
-                row_p = m[p, :].copy()
-                row_q = m[q, :].copy()
-                m[p, :] = c * row_p - s * row_q
-                m[q, :] = s * row_p + c * row_q
-    raise NumericError(f"jacobi iteration failed to converge within {max_sweeps} sweeps")
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,16 +59,16 @@ def trust_scale(kind: str, n):
     return (np.pi * np.asarray(n, dtype=float)) ** power
 
 
-def spectrum(spec: OperatorSpec, n: int, tol_trust: float = TRUST_TOL_DEFAULT) -> Spectrum:
+def spectrum(spec: OperatorSpec, n: int) -> Spectrum:
     """Solve at sizes n and 2n; annotate the size-n values with estimates."""
     if n < 8:
-        raise ValueError("basis size must be at least 8")
+        raise PreconditionError("basis size must be at least 8")
     coarse = assemble_spec(spec, n)
     fine = assemble_spec(spec, 2 * n)
     vals = graded_eigvalsh(coarse.a)
     vals_fine = graded_eigvalsh(fine.a)
     est = np.abs(vals - vals_fine[:n])
-    ok = est <= tol_trust * trust_scale(coarse.kind, np.arange(1, n + 1))
+    ok = est <= TRUST_TOL_DEFAULT * trust_scale(coarse.kind, np.arange(1, n + 1))
     n_trusted = n if bool(ok.all()) else int(np.argmin(ok))
     return Spectrum(
         vals=vals,

@@ -25,15 +25,13 @@ import numpy as np
 
 from .coeffs import Coefficient
 from .errors import PreconditionError
-from .operators import (
-    KIND_FOURTH_ORDER,
-    KIND_SECOND_ORDER,
-    KIND_SQUARE_PLUS_Q,
-    OperatorSpec,
-)
+from .operators import KIND_SECOND_ORDER, OperatorSpec
 from .traces import (
+    FORMULAS,
+    ROLES,
     CoefficientSet,
     FormulaId,
+    check_basis_size,
     check_preconditions,
     localization,
     partial_sums,
@@ -41,29 +39,23 @@ from .traces import (
     tail_accelerate,
 )
 
-__all__ = ["TARGETS", "SweepResult", "sweep", "recover_V", "recover_q", "recover_Q", "fit_trig"]
+__all__ = ["TARGETS", "SweepResult", "sweep", "target_kind",
+           "recover_V", "recover_q", "recover_Q", "fit_trig"]
 
 TARGETS = ("V", "q", "Q", "p_second_order")
 
+# The first target of an operator kind is the sweep's default for that kind.
 _TARGET_FORMULA = {
-    "V": FormulaId.IPR1,
     "q": FormulaId.IPR1,
+    "V": FormulaId.IPR1,
     "Q": FormulaId.IP2,
     "p_second_order": FormulaId.GLF,
 }
 
-_TARGET_KIND = {
-    "V": KIND_FOURTH_ORDER,
-    "q": KIND_FOURTH_ORDER,
-    "Q": KIND_SQUARE_PLUS_Q,
-    "p_second_order": KIND_SECOND_ORDER,
-}
 
-_PRIMARY_KEY = {
-    FormulaId.IPR1: "mu",
-    FormulaId.IP2: "nu",
-    FormulaId.GLF: "alpha",
-}
+def target_kind(target: str) -> str:
+    """Operator kind a sweep for ``target`` solves: that of its formula's first role."""
+    return ROLES[FORMULAS[_TARGET_FORMULA[target]].roles[0]][0]
 
 
 @dataclass
@@ -98,13 +90,10 @@ class SweepResult:
             raise ValueError("run a recover_* routine before the wrap check")
         return float(abs(self.recovered_wrap - self.recovered[0, 1]))
 
-    def coefficient_set(self) -> CoefficientSet:
-        return CoefficientSet(p=self.template.p, q=self.template.q, Q=self.template.Q)
-
 
 def _accelerated_at(formula, coeffs, n, k, mode, tau):
     spectra = spectra_for(formula, coeffs, n, tau)
-    parts = partial_sums(formula, spectra, coeffs, k, tau)
+    parts = partial_sums(formula, spectra, coeffs, k)
     acc = tail_accelerate(formula, parts, coeffs, k, mode, tau)
     return spectra, float(acc)
 
@@ -122,17 +111,14 @@ def sweep(
         raise PreconditionError("sweep grid must have at least 4 points")
     if template.tau != 0.0:
         raise PreconditionError("sweep template must carry tau = 0")
+    check_basis_size(n, k)
     if target is None:
-        target = {
-            KIND_FOURTH_ORDER: "q",
-            KIND_SQUARE_PLUS_Q: "Q",
-            KIND_SECOND_ORDER: "p_second_order",
-        }[template.kind]
+        target = next(t for t in _TARGET_FORMULA if target_kind(t) == template.kind)
     if target not in TARGETS:
         raise ValueError(f"unknown sweep target {target!r}")
-    if template.kind != _TARGET_KIND[target]:
+    if template.kind != target_kind(target):
         raise PreconditionError(
-            f"target {target!r} needs operator kind {_TARGET_KIND[target]!r}"
+            f"target {target!r} needs operator kind {target_kind(target)!r}"
         )
     for name in ("p", "q", "Q"):
         f = getattr(template, name)
@@ -148,7 +134,7 @@ def sweep(
     spectra_list = []
     acc = np.empty(grid_size)
     trust = np.empty(grid_size, dtype=int)
-    primary = _PRIMARY_KEY[formula]
+    primary = FORMULAS[formula].roles[0]
     for i, tau in enumerate(taus):
         spectra, acc[i] = _accelerated_at(formula, coeffs, n, k, mode, float(tau))
         spectra_list.append(spectra)

@@ -50,14 +50,10 @@ class GalerkinMatrix:
     a: np.ndarray
     kind: str
 
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
 
 def _cosine_table(f: Coefficient, n: int) -> np.ndarray:
     # indices up to m + n = 2n are touched during assembly
-    return f.cosine_coeffs(2 * n).c
+    return f.cosine_coeffs(2 * n)
 
 
 def multiplication_matrix(f: Coefficient, n: int) -> np.ndarray:

@@ -17,6 +17,11 @@ nu = squared-second-order plus Q):
     IPR1  TRF3 for the tau-shifted family               = -(P-p0^2+2 V(tau))/4
     IP2   sum(nu_n(tau) - alpha_n(tau)^2)               = -Q(tau)/2
 
+``FORMULAS`` holds one entry per id: the spectra it reads, its summand,
+right side and tail model, its tolerance and its hypotheses.  At a shift
+tau every identity reads the spectra of the shifted operators; the right
+sides stated at tau = 0 are then evaluated on the shifted coefficients.
+
 Counterterms are evaluated in the expanded form
 mu_n - (pi n)^4 + 2 p0 (pi n)^2 - p0^2 to limit cancellation, and the
 partial sums are accumulated with compensated summation.
@@ -27,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -44,6 +50,8 @@ from .eigensolve import Spectrum, spectrum
 
 __all__ = [
     "FormulaId",
+    "FORMULAS",
+    "ROLES",
     "CoefficientSet",
     "TraceReport",
     "DisputeVariant",
@@ -52,6 +60,7 @@ __all__ = [
     "LocalizationReport",
     "DEFAULT_TOLERANCES",
     "MEAN_TOL",
+    "check_basis_size",
     "check_preconditions",
     "spectra_for",
     "summand",
@@ -79,28 +88,6 @@ class FormulaId(str, Enum):
     IP2 = "IP2"
 
 
-# Verification tolerances at the default sizes (N=256, K=64), sized from
-# the tail models: 1e-2 where the leftover summand tail is O(1/n^2) (S01,
-# whose 1/n^2 term is not modeled; TRF3/IPR1, whose 1/n^2 constant is
-# modeled to second order only, leaving the third-order part; TRQ0, which
-# has richardson only), 1e-3 for the function-perturbation and
-# second-order sums whose leftover decays faster.
-DEFAULT_TOLERANCES = {
-    FormulaId.GLF: 1e-3,
-    FormulaId.TRS: 1e-3,
-    FormulaId.TR3: 1e-3,
-    FormulaId.COR1: 1e-3,
-    FormulaId.IP2: 1e-3,
-    FormulaId.S01: 1e-2,
-    FormulaId.TRF3: 1e-2,
-    FormulaId.TRQ0: 1e-2,
-    FormulaId.IPR1: 1e-2,
-}
-
-_SECOND_ORDER_FORMULAS = (FormulaId.GLF, FormulaId.S01)
-_FOURTH_ORDER_FORMULAS = (FormulaId.TRF3, FormulaId.TRS, FormulaId.TRQ0, FormulaId.IPR1)
-
-
 @dataclass(frozen=True)
 class CoefficientSet:
     """The coefficient functions a formula consumes (unused slots zero)."""
@@ -118,148 +105,104 @@ class CoefficientSet:
         return f"p:{self.p.short()} q:{self.q.short()} Q:{self.Q.short()}"
 
 
-def check_preconditions(formula: FormulaId, coeffs: CoefficientSet) -> None:
-    """Reject inputs outside the hypothesis class of the chosen identity."""
-    formula = FormulaId(formula)
-    if formula in (FormulaId.TRF3, FormulaId.TRS, FormulaId.IPR1):
-        if abs(coeffs.q.functionals().mean) > MEAN_TOL:
-            raise PreconditionError(
-                f"{formula.value} requires a zero-mean q (int_0^1 q = 0)"
-            )
-    if formula == FormulaId.TRS and not coeffs.p.is_constant():
-        raise PreconditionError("TRS requires a constant p")
-    if formula == FormulaId.TRQ0 and not coeffs.q.is_zero():
-        raise PreconditionError("TRQ0 requires q identically zero")
-    if formula == FormulaId.IPR1:
-        for name, f in (("p", coeffs.p), ("q", coeffs.q)):
-            if not f.is_zero() and not f.is_one_periodic():
-                raise PreconditionError(f"IPR1 requires 1-periodic {name}")
-    if formula == FormulaId.IP2:
-        if abs(coeffs.Q.functionals().mean) > MEAN_TOL:
-            raise PreconditionError("IP2 requires a zero-mean Q (int_0^1 Q = 0)")
-        if not coeffs.Q.is_zero() and not coeffs.Q.is_one_periodic():
-            raise PreconditionError("IP2 requires 1-periodic Q")
+# Spectrum roles: the operator kind whose eigenvalues a role names, and the
+# coefficients that operator takes.
+ROLES = {
+    "alpha": (KIND_SECOND_ORDER, ("p",)),
+    "mu": (KIND_FOURTH_ORDER, ("p", "q")),
+    "lam": (KIND_FOURTH_ORDER, ("p", "q", "Q")),
+    "nu": (KIND_SQUARE_PLUS_Q, ("p", "Q")),
+}
+
+# Hypotheses an identity can place on one coefficient: the test the
+# coefficient must pass, and what the error message says it must be.
+_HYPOTHESES = {
+    "zero_mean": (
+        lambda f: abs(f.functionals().mean) <= MEAN_TOL,
+        "a zero-mean {c} (int_0^1 {c} = 0)",
+    ),
+    "periodic": (lambda f: f.is_zero() or f.is_one_periodic(), "1-periodic {c}"),
+    "constant": (lambda f: f.is_constant(), "a constant {c}"),
+    "zero": (lambda f: f.is_zero(), "{c} identically zero"),
+}
 
 
-def spectra_for(formula: FormulaId, coeffs: CoefficientSet, n: int, tau: float = 0.0):
-    """Compute the spectra the formula's summand reads, keyed by role."""
-    formula = FormulaId(formula)
-    if formula in _SECOND_ORDER_FORMULAS:
-        return {"alpha": spectrum(OperatorSpec(KIND_SECOND_ORDER, p=coeffs.p, tau=tau), n)}
-    if formula in _FOURTH_ORDER_FORMULAS:
-        return {
-            "mu": spectrum(
-                OperatorSpec(KIND_FOURTH_ORDER, p=coeffs.p, q=coeffs.q, tau=tau), n
-            )
-        }
-    if formula == FormulaId.TR3:
-        return {
-            "mu": spectrum(OperatorSpec(KIND_FOURTH_ORDER, p=coeffs.p, q=coeffs.q, tau=tau), n),
-            "lam": spectrum(
-                OperatorSpec(KIND_FOURTH_ORDER, p=coeffs.p, q=coeffs.q, Q=coeffs.Q, tau=tau), n
-            ),
-        }
-    # COR1 / IP2: squared second-order operator plus Q, and the bare second-order
-    return {
-        "nu": spectrum(OperatorSpec(KIND_SQUARE_PLUS_Q, p=coeffs.p, Q=coeffs.Q, tau=tau), n),
-        "alpha": spectrum(OperatorSpec(KIND_SECOND_ORDER, p=coeffs.p, tau=tau), n),
-    }
+@dataclass(frozen=True)
+class Formula:
+    """One trace identity, the fields in table order.
+
+    ``roles``: the spectra it reads, the first being the one a sweep tracks.
+    ``summand(vals, coeffs, z2)``: the regularized summands n = 1..k from
+    ``vals[role]``, the lowest k eigenvalues, and z2 = (pi n)^2.
+    ``rhs(coeffs, tau)``: the closed-form right side at shift tau.
+    ``tail(s_k, shifted_coeffs, k)``: S_k closed by the ``fourier`` model of
+    the summands, ``None`` where none is derived.  ``tol``: the tolerance
+    at the default sizes.  ``hypotheses``: (coefficient, hypothesis) pairs.
+    """
+
+    roles: tuple
+    summand: Callable
+    rhs: Callable
+    tail: Callable | None
+    tol: float
+    hypotheses: tuple = ()
 
 
-def _summand_array(formula: FormulaId, spectra, coeffs: CoefficientSet, k: int) -> np.ndarray:
-    ns = np.arange(1, k + 1, dtype=float)
-    z2 = (np.pi * ns) ** 2
-    z4 = z2 * z2
-    fp = coeffs.p.functionals()
+def _expanded(x, p0: float, z2):
+    # x - ((pi n)^2 - p0)^2 + p0^2 with the square expanded
+    return x - z2 * z2 + 2.0 * p0 * z2
+
+
+def _s01_summand(vals, cs: CoefficientSet, z2):
+    alpha = vals["alpha"]
+    p0, P = cs.p.functionals().mean, big_P(cs.p)
+    return _expanded(alpha * alpha, p0, z2) - p0 * p0 - 0.5 * (P - p0 * p0)
+
+
+def _trf3_summand(vals, cs: CoefficientSet, z2):
+    p0, P = cs.p.functionals().mean, big_P(cs.p)
+    return _expanded(vals["mu"], p0, z2) - p0 * p0 + 0.5 * (P + p0 * p0)
+
+
+def _at_shift(closed_form):
+    """The right side of an identity stated at tau = 0, taken at shift tau."""
+    return lambda cs, tau: closed_form(cs.shifted(tau))
+
+
+def _glf_rhs(cs: CoefficientSet) -> float:
+    fp = cs.p.functionals()
+    return (fp.end0 + fp.end1) / 4.0 - fp.mean / 2.0
+
+
+def _s01_rhs(cs: CoefficientSet) -> float:
+    fp, P = cs.p.functionals(), big_P(cs.p)
     p0 = fp.mean
-    if formula == FormulaId.GLF:
-        return spectra["alpha"].vals[:k] - z2 + p0
-    if formula == FormulaId.S01:
-        alpha = spectra["alpha"].vals[:k]
-        P = big_P(coeffs.p)
-        return alpha * alpha - z4 + 2.0 * p0 * z2 - p0 * p0 - 0.5 * (P - p0 * p0)
-    if formula in (FormulaId.TRF3, FormulaId.IPR1):
-        mu = spectra["mu"].vals[:k]
-        P = big_P(coeffs.p)
-        return mu - z4 + 2.0 * p0 * z2 - p0 * p0 + 0.5 * (P + p0 * p0)
-    if formula == FormulaId.TRS:
-        mu = spectra["mu"].vals[:k]
-        return mu - z4 + 2.0 * p0 * z2
-    if formula == FormulaId.TRQ0:
-        mu = spectra["mu"].vals[:k]
-        P = big_P(coeffs.p)
-        return mu - z4 + 2.0 * p0 * z2 - p0 * p0 + 0.5 * (P + p0 * p0)
-    if formula == FormulaId.TR3:
-        Q0 = coeffs.Q.functionals().mean
-        return spectra["lam"].vals[:k] - spectra["mu"].vals[:k] - Q0
-    if formula == FormulaId.COR1:
-        alpha = spectra["alpha"].vals[:k]
-        Q0 = coeffs.Q.functionals().mean
-        return spectra["nu"].vals[:k] - Q0 - alpha * alpha
-    if formula == FormulaId.IP2:
-        alpha = spectra["alpha"].vals[:k]
-        return spectra["nu"].vals[:k] - alpha * alpha
-    raise ValueError(f"unknown formula {formula!r}")
+    return (P + p0 * p0) / 4.0 - (fp.end0**2 + fp.end1**2) / 4.0 - (fp.d2_0 + fp.d2_1) / 8.0
 
 
-def summand(formula: FormulaId, n: int, spectra, coeffs: CoefficientSet, tau: float = 0.0) -> float:
-    """The n-th regularized summand of the chosen formula (1-based n)."""
-    formula = FormulaId(formula)
-    check_preconditions(formula, coeffs)
-    if n < 1:
-        raise PreconditionError("summand index must be positive")
-    for spec in spectra.values():
-        spec.require_trusted(n)
-    return float(_summand_array(formula, spectra, coeffs, n)[n - 1])
+def _trf3_rhs(cs: CoefficientSet) -> float:
+    p0, fv = cs.p.functionals().mean, build_V(cs.p, cs.q).functionals()
+    return -0.25 * ((big_P(cs.p) - p0 * p0) + fv.end0 + fv.end1)
 
 
-def partial_sums(formula: FormulaId, spectra, coeffs: CoefficientSet, k: int, tau: float = 0.0) -> np.ndarray:
-    """Compensated prefix sums S_1..S_k of the regularized summands."""
-    formula = FormulaId(formula)
-    check_preconditions(formula, coeffs)
-    horizon = min(spec.n_trusted for spec in spectra.values())
-    if k > horizon:
-        raise PreconditionError(
-            f"truncation K={k} exceeds the trust horizon {horizon}"
-        )
-    return compensated_cumsum(_summand_array(formula, spectra, coeffs, k))
+def _trs_rhs(cs: CoefficientSet) -> float:
+    fq = cs.q.functionals()
+    return -0.25 * (fq.end0 + fq.end1)
 
 
-def rhs(formula: FormulaId, coeffs: CoefficientSet, tau: float = 0.0) -> float:
-    """Closed-form right side of the chosen identity."""
-    formula = FormulaId(formula)
-    check_preconditions(formula, coeffs)
-    fp = coeffs.p.functionals()
-    p0 = fp.mean
-    if formula == FormulaId.GLF:
-        return (fp.end0 + fp.end1) / 4.0 - p0 / 2.0
-    if formula == FormulaId.S01:
-        P = big_P(coeffs.p)
-        return (
-            (P + p0 * p0) / 4.0
-            - (fp.end0**2 + fp.end1**2) / 4.0
-            - (fp.d2_0 + fp.d2_1) / 8.0
-        )
-    if formula == FormulaId.TRF3:
-        fv = build_V(coeffs.p, coeffs.q).functionals()
-        P = big_P(coeffs.p)
-        return -0.25 * ((P - p0 * p0) + fv.end0 + fv.end1)
-    if formula == FormulaId.TRS:
-        fq = coeffs.q.functionals()
-        return -0.25 * (fq.end0 + fq.end1)
-    if formula == FormulaId.TRQ0:
-        P = big_P(coeffs.p)
-        return -0.25 * (P - p0 * p0) + 0.125 * (fp.d2_0 + fp.d2_1)
-    if formula in (FormulaId.TR3, FormulaId.COR1):
-        fQ = coeffs.Q.functionals()
-        return -0.25 * (fQ.end0 + fQ.end1 - 2.0 * fQ.mean)
-    if formula == FormulaId.IPR1:
-        P = big_P(coeffs.p)
-        v_at_tau = build_V(coeffs.p, coeffs.q).evaluate(tau - math.floor(tau))
-        return -0.25 * ((P - p0 * p0) + 2.0 * v_at_tau)
-    if formula == FormulaId.IP2:
-        return -0.5 * coeffs.Q.evaluate(tau - math.floor(tau))
-    raise ValueError(f"unknown formula {formula!r}")
+def _trq0_rhs(cs: CoefficientSet) -> float:
+    fp = cs.p.functionals()
+    return -0.25 * (big_P(cs.p) - fp.mean * fp.mean) + 0.125 * (fp.d2_0 + fp.d2_1)
+
+
+def _q_ends_rhs(cs: CoefficientSet) -> float:
+    fQ = cs.Q.functionals()
+    return -0.25 * (fQ.end0 + fQ.end1 - 2.0 * fQ.mean)
+
+
+def _ipr1_rhs(cs: CoefficientSet, tau: float) -> float:
+    p0, v_at_tau = cs.p.functionals().mean, build_V(cs.p, cs.q).evaluate(tau - math.floor(tau))
+    return -0.25 * ((big_P(cs.p) - p0 * p0) + 2.0 * v_at_tau)
 
 
 def _zeta2_tail(k: int) -> float:
@@ -274,7 +217,7 @@ def _endpoint_tail(g: Coefficient, k: int) -> float:
     k terms leaves the exact tail of the model.
     """
     fg = g.functionals()
-    c = g.cosine_coeffs(2 * k).c
+    c = g.cosine_coeffs(2 * k)
     return ((fg.end0 + fg.end1) / 4.0 - fg.mean / 2.0) - float(c[2::2][:k].sum())
 
 
@@ -291,8 +234,8 @@ def _second_order_residual(p: Coefficient, q: Coefficient, n: int) -> float:
     E_mn^2 / (d_n - d_m).  What is left is C/n^2 + O(1/n^4).
     """
     m_max = 8 * n
-    cp = p.cosine_coeffs(m_max + n).c
-    cq = q.cosine_coeffs(m_max + n).c
+    cp = p.cosine_coeffs(m_max + n)
+    cq = q.cosine_coeffs(m_max + n)
     p0 = cp[0]
     cp[0] = cq[0] = 0.0
     m = np.arange(1, m_max + 1)
@@ -301,7 +244,7 @@ def _second_order_residual(p: Coefficient, q: Coefficient, n: int) -> float:
     gaps = np.pi**2 * (n * n - m * m) * (np.pi**2 * (n * n + m * m) - 2.0 * p0)
     off = m != n
     second = np.sum(row[off] ** 2 / gaps[off])
-    vhat = build_V(p, q).cosine_coeffs(2 * n).c[2 * n]
+    vhat = build_V(p, q).cosine_coeffs(2 * n)[2 * n]
     # P - p0^2 taken as P of p - p0, where no cancellation can occur
     first = row[n - 1] + 0.5 * big_P(p - Coefficient.constant(p0)) + vhat
     return float(n * n * (first + second))
@@ -323,6 +266,128 @@ def _second_order_constant(p: Coefficient, q: Coefficient) -> float:
     return (4.0 * _second_order_residual(p, q, 256) - _second_order_residual(p, q, 128)) / 3.0
 
 
+def _glf_tail(s_k: float, cs: CoefficientSet, k: int) -> float:
+    # summand (P - p0^2) / (2 pi n)^2
+    P = big_P(cs.p)
+    return s_k + (P - cs.p.functionals().mean ** 2) / (4.0 * math.pi**2) * _zeta2_tail(k)
+
+
+def _s01_tail(s_k: float, cs: CoefficientSet, k: int) -> float:
+    # summand -c_2n(p'')/2 - c_2n(p^2)
+    return s_k - 0.5 * _endpoint_tail(cs.p.derivative(2), k) - _endpoint_tail(cs.p * cs.p, k)
+
+
+def _v_tail(s_k: float, cs: CoefficientSet, k: int) -> float:
+    # summand -c_2n(V) + C/n^2
+    v = build_V(cs.p, cs.q)
+    return s_k - _endpoint_tail(v, k) + _second_order_constant(cs.p, cs.q) * _zeta2_tail(k)
+
+
+def _q_tail(s_k: float, cs: CoefficientSet, k: int) -> float:
+    # summand -c_2n(Q)
+    return s_k - _endpoint_tail(cs.Q, k)
+
+
+# Tolerances at the default sizes (N=256, K=64), sized from the tail
+# models: 1e-2 where the leftover summand tail is O(1/n^2) (S01, whose
+# 1/n^2 term is not modeled; TRF3/IPR1, whose 1/n^2 constant is modeled to
+# second order only, leaving the third-order part; TRQ0, which has
+# richardson only), 1e-3 for the function-perturbation and second-order
+# sums whose leftover decays faster.
+FORMULAS = {
+    FormulaId.GLF: Formula(
+        ("alpha",), lambda vals, cs, z2: vals["alpha"] - z2 + cs.p.functionals().mean,
+        _at_shift(_glf_rhs), _glf_tail, 1e-3),
+    FormulaId.S01: Formula(("alpha",), _s01_summand, _at_shift(_s01_rhs), _s01_tail, 1e-2),
+    FormulaId.TRF3: Formula(
+        ("mu",), _trf3_summand, _at_shift(_trf3_rhs), _v_tail, 1e-2, (("q", "zero_mean"),)),
+    FormulaId.TRS: Formula(
+        ("mu",), lambda vals, cs, z2: _expanded(vals["mu"], cs.p.functionals().mean, z2),
+        _at_shift(_trs_rhs), _v_tail, 1e-3, (("q", "zero_mean"), ("p", "constant"))),
+    FormulaId.TRQ0: Formula(
+        ("mu",), _trf3_summand, _at_shift(_trq0_rhs), None, 1e-2, (("q", "zero"),)),
+    FormulaId.TR3: Formula(
+        ("mu", "lam"), lambda vals, cs, z2: vals["lam"] - vals["mu"] - cs.Q.functionals().mean,
+        _at_shift(_q_ends_rhs), _q_tail, 1e-3),
+    FormulaId.COR1: Formula(
+        ("nu", "alpha"),
+        lambda vals, cs, z2: vals["nu"] - cs.Q.functionals().mean - vals["alpha"] * vals["alpha"],
+        _at_shift(_q_ends_rhs), _q_tail, 1e-3),
+    FormulaId.IPR1: Formula(
+        ("mu",), _trf3_summand, _ipr1_rhs, _v_tail, 1e-2,
+        (("q", "zero_mean"), ("p", "periodic"), ("q", "periodic"))),
+    FormulaId.IP2: Formula(
+        ("nu", "alpha"), lambda vals, cs, z2: vals["nu"] - vals["alpha"] * vals["alpha"],
+        lambda cs, tau: -0.5 * cs.Q.evaluate(tau - math.floor(tau)), _q_tail, 1e-3,
+        (("Q", "zero_mean"), ("Q", "periodic"))),
+}
+
+DEFAULT_TOLERANCES = {formula: entry.tol for formula, entry in FORMULAS.items()}
+
+
+def check_basis_size(n: int, k: int) -> None:
+    """Reject a truncation K outside 1..N/2: truncation error sits in the upper half."""
+    if k < 1:
+        raise PreconditionError(f"truncation K={k} must be positive")
+    if n < 2 * k:
+        raise PreconditionError(f"basis size N={n} must satisfy N >= 2K (K={k})")
+
+
+def check_preconditions(formula: FormulaId, coeffs: CoefficientSet) -> None:
+    """Reject inputs outside the hypothesis class of the chosen identity."""
+    formula = FormulaId(formula)
+    for name, hypothesis in FORMULAS[formula].hypotheses:
+        holds, must_be = _HYPOTHESES[hypothesis]
+        if not holds(getattr(coeffs, name)):
+            raise PreconditionError(f"{formula.value} requires " + must_be.format(c=name))
+
+
+def spectra_for(formula: FormulaId, coeffs: CoefficientSet, n: int, tau: float = 0.0):
+    """Compute the spectra the formula's summand reads, keyed by role."""
+    spectra = {}
+    for role in FORMULAS[FormulaId(formula)].roles:
+        kind, names = ROLES[role]
+        args = {name: getattr(coeffs, name) for name in names}
+        spectra[role] = spectrum(OperatorSpec(kind, tau=tau, **args), n)
+    return spectra
+
+
+def _summands(formula: FormulaId, spectra, coeffs: CoefficientSet, k: int) -> np.ndarray:
+    z2 = (np.pi * np.arange(1, k + 1, dtype=float)) ** 2
+    vals = {role: s.vals[:k] for role, s in spectra.items()}
+    return FORMULAS[formula].summand(vals, coeffs, z2)
+
+
+def summand(formula: FormulaId, n: int, spectra, coeffs: CoefficientSet) -> float:
+    """The n-th regularized summand of the chosen formula (1-based n)."""
+    formula = FormulaId(formula)
+    check_preconditions(formula, coeffs)
+    if n < 1:
+        raise PreconditionError("summand index must be positive")
+    for spec in spectra.values():
+        spec.require_trusted(n)
+    return float(_summands(formula, spectra, coeffs, n)[n - 1])
+
+
+def partial_sums(formula: FormulaId, spectra, coeffs: CoefficientSet, k: int) -> np.ndarray:
+    """Compensated prefix sums S_1..S_k of the regularized summands."""
+    formula = FormulaId(formula)
+    check_preconditions(formula, coeffs)
+    horizon = min(spec.n_trusted for spec in spectra.values())
+    if k > horizon:
+        raise PreconditionError(
+            f"truncation K={k} exceeds the trust horizon {horizon}"
+        )
+    return compensated_cumsum(_summands(formula, spectra, coeffs, k))
+
+
+def rhs(formula: FormulaId, coeffs: CoefficientSet, tau: float = 0.0) -> float:
+    """Closed-form right side of the chosen identity at shift tau."""
+    formula = FormulaId(formula)
+    check_preconditions(formula, coeffs)
+    return FORMULAS[formula].rhs(coeffs, tau)
+
+
 def tail_accelerate(
     formula: FormulaId,
     partial,
@@ -339,8 +404,9 @@ def tail_accelerate(
     perturbation theory derives from the Galerkin entries; the known
     1/(2 pi n)^2 law for GLF; the derivative/square pair for S01.  Left
     out are the third-order part of C, and the 1/n^2 terms of the S01,
-    TR3 and COR1 summands.  ``richardson`` extrapolates 2 S_{2m} - S_m
-    against a C/K tail and needs no model.  ``none`` returns S_k.
+    TR3 and COR1 summands; TRQ0 has no model.  ``richardson``
+    extrapolates 2 S_{2m} - S_m against a C/K tail and needs no model.
+    ``none`` returns S_k.
     """
     formula = FormulaId(formula)
     partial = np.asarray(partial, dtype=float)
@@ -356,26 +422,12 @@ def tail_accelerate(
         return float(2.0 * partial[2 * m - 1] - partial[m - 1])
     if mode != "fourier":
         raise ValueError(f"unknown acceleration mode {mode!r}")
-    if formula == FormulaId.TRQ0:
-        raise ValueError("fourier tail model is not defined for TRQ0; use richardson")
-    cs = coeffs.shifted(tau) if tau != 0.0 else coeffs
-    if formula in (FormulaId.TRF3, FormulaId.IPR1, FormulaId.TRS):
-        return (
-            s_k
-            - _endpoint_tail(build_V(cs.p, cs.q), k)
-            + _second_order_constant(cs.p, cs.q) * _zeta2_tail(k)
+    tail = FORMULAS[formula].tail
+    if tail is None:
+        raise PreconditionError(
+            f"fourier tail model is not defined for {formula.value}; use richardson"
         )
-    if formula in (FormulaId.TR3, FormulaId.COR1, FormulaId.IP2):
-        return s_k - _endpoint_tail(cs.Q, k)
-    if formula == FormulaId.GLF:
-        fp = cs.p.functionals()
-        P = big_P(cs.p)
-        return s_k + (P - fp.mean**2) / (4.0 * math.pi**2) * _zeta2_tail(k)
-    if formula == FormulaId.S01:
-        second = cs.p.derivative(2)
-        square = cs.p * cs.p
-        return s_k - 0.5 * _endpoint_tail(second, k) - _endpoint_tail(square, k)
-    raise ValueError(f"unknown formula {formula!r}")
+    return tail(s_k, coeffs.shifted(tau), k)
 
 
 @dataclass(frozen=True)
@@ -445,15 +497,16 @@ def verify(
     zero mean.
     """
     formula = FormulaId(formula)
+    check_basis_size(n, k)
     q0_shift = 0.0
-    if center_q and formula in (FormulaId.TRF3, FormulaId.IPR1, FormulaId.TRS):
+    if center_q and ("q", "zero_mean") in FORMULAS[formula].hypotheses:
         q0 = coeffs.q.functionals().mean
         if q0 != 0.0:
             coeffs = replace(coeffs, q=coeffs.q - Coefficient.constant(q0))
             q0_shift = q0
     check_preconditions(formula, coeffs)
     spectra = spectra_for(formula, coeffs, n, tau)
-    parts = partial_sums(formula, spectra, coeffs, k, tau)
+    parts = partial_sums(formula, spectra, coeffs, k)
     accelerated = tail_accelerate(formula, parts, coeffs, k, mode, tau)
     right = rhs(formula, coeffs, tau)
     digest = coeffs.digest() + f" tau={tau:g}"
@@ -508,6 +561,7 @@ def asym_residuals(spec: OperatorSpec, n: int = 256, k: int = 64, fit_lo: int = 
     """
     if spec.kind != KIND_FOURTH_ORDER:
         raise PreconditionError("asymptotic residuals are defined for the fourth-order family")
+    check_basis_size(n, k)
     s = spectrum(spec, n)
     if k > s.n_trusted:
         raise PreconditionError(f"K={k} exceeds the trust horizon {s.n_trusted}")
@@ -517,7 +571,7 @@ def asym_residuals(spec: OperatorSpec, n: int = 256, k: int = 64, fit_lo: int = 
     p0 = fp.mean
     P = big_P(p)
     q0 = q_eff.functionals().mean
-    vhat = build_V(p, q_eff).cosine_coeffs(2 * k).c[2::2][:k]
+    vhat = build_V(p, q_eff).cosine_coeffs(2 * k)[2::2][:k]
     ns = np.arange(1, k + 1, dtype=float)
     z2 = (np.pi * ns) ** 2
     r = s.vals[:k] - z2 * z2 + 2.0 * p0 * z2 - p0 * p0 + 0.5 * (P + p0 * p0) - q0 + vhat
@@ -675,13 +729,14 @@ def dispute(
                 "the Sadovnichii comparison requires q = p'' + p^2 "
                 "(the fourth-order operator must be a perfect square)"
             )
+        check_basis_size(n, k)
         alpha = spectrum(OperatorSpec(KIND_SECOND_ORDER, p=p), n)
         lo = 8
         if k > alpha.n_trusted:
             raise PreconditionError(f"K={k} exceeds the trust horizon {alpha.n_trusted}")
         ns = np.arange(1, k + 1, dtype=float)
         z2 = (np.pi * ns) ** 2
-        vhat = build_V(p, q).cosine_coeffs(2 * k).c[2::2][:k]
+        vhat = build_V(p, q).cosine_coeffs(2 * k)[2::2][:k]
         # third-term sequence: mu_m - (pi m)^4 + 2 p0 (pi m)^2 with the
         # oscillating part removed; fitted against const + b/m^2
         t = alpha.vals[:k] ** 2 - z2 * z2 + 2.0 * fp.mean * z2 + vhat

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_symmetric
+from reference_eigensolvers import jacobi_eigenvalues, tridiag_eigenvalues, tridiagonalize
 from sinespec import (
     Coefficient,
     CoefficientSet,
@@ -20,15 +21,12 @@ from sinespec import (
     ZERO,
     asym_residuals,
     dispute,
-    jacobi_eigenvalues,
     localization,
     recover_Q,
     recover_q,
     rhs,
     spectrum,
     sweep,
-    tridiag_eigenvalues,
-    tridiagonalize,
     verify,
 )
 

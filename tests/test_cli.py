@@ -101,6 +101,27 @@ def test_n_must_cover_2k(capsys, one):
     assert "N >= 2K" in capsys.readouterr().err
 
 
+def test_spectrum_reads_no_truncation(one):
+    # spectrum never reads K, so N >= 2K does not apply at the default K = 64
+    assert main(["spectrum", "--p", one, "-N", "64"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--formula", "TRQ0", "-N", "64", "-K", "16"],
+        ["trace", "--formula", "GLF", "-N", "64", "-K", "-4"],
+        ["spectrum", "-N", "4", "-K", "2"],
+        ["localize", "-N", "4", "-K", "2"],
+    ],
+    ids=["trq0-fourier", "negative-k", "spectrum-small-n", "localize-small-n"],
+)
+def test_bad_input_exits_2_with_message(capsys, cos2, argv):
+    code = main(argv + ["--p", cos2])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_spectrum_command_writes_csv(tmp_path, capsys, one):
     out_path = tmp_path / "spec.csv"
     code = main(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import coefficients, random_symmetric
+from reference_eigensolvers import jacobi_eigenvalues, tridiag_eigenvalues, tridiagonalize
 from sinespec import (
     Coefficient,
     KIND_FOURTH_ORDER,
@@ -17,11 +18,8 @@ from sinespec import (
     ZERO,
     assemble_h,
     graded_eigvalsh,
-    jacobi_eigenvalues,
     multiplication_matrix,
     spectrum,
-    tridiag_eigenvalues,
-    tridiagonalize,
 )
 
 PI = math.pi

@@ -9,6 +9,7 @@ from sinespec import (
     Coefficient,
     CoefficientSet,
     DisputeVariant,
+    DEFAULT_TOLERANCES,
     FormulaId,
     KIND_FOURTH_ORDER,
     OperatorSpec,
@@ -23,6 +24,7 @@ from sinespec import (
     spectra_for,
     spectrum,
     summand,
+    sweep,
     tail_accelerate,
     verify,
 )
@@ -211,7 +213,7 @@ def test_trf3_summand_tracks_second_order_constant(p, q):
     # approach plus third-order terms and basis truncation.
     cs = CoefficientSet(p=p, q=q)
     sp = spectra_for(FormulaId.TRF3, cs, 256)
-    vhat = build_V(p, q).cosine_coeffs(64).c
+    vhat = build_V(p, q).cosine_coeffs(64)
     c = _second_order_constant(p, q)
     for n in (16, 20, 24):
         scaled = n * n * (summand(FormulaId.TRF3, n, sp, cs) + vhat[2 * n])
@@ -270,6 +272,49 @@ def test_verify_center_q_records_shift():
 def test_verify_rejects_k_beyond_trust():
     with pytest.raises(PreconditionError):
         verify(FormulaId.GLF, CoefficientSet(p=COS2), n=16, k=17)
+
+
+def test_partial_sums_reject_k_beyond_trust():
+    cs = CoefficientSet(p=COS2)
+    with pytest.raises(PreconditionError, match="trust horizon"):
+        partial_sums(FormulaId.GLF, spectra_for(FormulaId.GLF, cs, 16), cs, 17)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify(FormulaId.GLF, CoefficientSet(p=COS2), n=100, k=64),
+        lambda: sweep(OperatorSpec(KIND_FOURTH_ORDER), 4, n=100, k=64),
+        lambda: asym_residuals(OperatorSpec(KIND_FOURTH_ORDER, p=COS2), n=100, k=64),
+        lambda: dispute(
+            DisputeVariant.SADOVNICHII_TRS, COS2, q=COS2.derivative(2) + COS2 * COS2, n=100, k=64
+        ),
+    ],
+    ids=["verify", "sweep", "asym_residuals", "sadovnichii"],
+)
+def test_basis_must_cover_2k(call):
+    with pytest.raises(PreconditionError, match="N >= 2K"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "formula, cs, mode",
+    [
+        (FormulaId.GLF, CoefficientSet(p=COS2), "fourier"),
+        (FormulaId.S01, CoefficientSet(p=COS2), "fourier"),
+        (FormulaId.TRF3, CoefficientSet(p=COS2, q=SIN2), "fourier"),
+        (FormulaId.TRS, CoefficientSet(p=Coefficient.constant(1.0), q=COS2), "fourier"),
+        (FormulaId.TRQ0, CoefficientSet(p=COS2), "richardson"),
+        (FormulaId.TR3, CoefficientSet(p=COS2, Q=COS2), "fourier"),
+        (FormulaId.COR1, CoefficientSet(p=COS2, Q=COS2), "fourier"),
+    ],
+    ids=["GLF", "S01", "TRF3", "TRS", "TRQ0", "TR3", "COR1"],
+)
+def test_shifted_verify_within_tolerance(formula, cs, mode):
+    # the shifted spectra are compared with the right side of the shifted
+    # coefficients; here the unshifted right side is off by 0.65 to 12.9
+    rep = verify(formula, cs, n=256, k=64, mode=mode, tau=0.3)
+    assert abs(rep.gap) <= DEFAULT_TOLERANCES[formula]
 
 
 def test_cross_formula_consistency_through_squared_operator():
