@@ -1,10 +1,11 @@
 """Command-line front end: coefficient files in, machine-readable reports out.
 
-Commands: spectrum, trace, dispute, asym, localize, sweep.  Coefficient
-files are JSON objects {"u": [...], "w": [...]} with u indexed from
-frequency 0 and w from frequency 1; a missing "w" means all zeros.
-Numbers in CSV output carry 17 significant digits so identical inputs
-reproduce byte-identical files.
+Commands: spectrum, trace, dispute, asym, localize, sweep; each takes
+only the shared options its handler reads.  Coefficient files are JSON
+objects {"u": [...], "w": [...]} with u indexed from frequency 0 and w
+from frequency 1; a missing "w" means all zeros.  Numbers in CSV output
+carry 17 significant digits so identical inputs reproduce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -102,13 +103,24 @@ def _coeffs(args: argparse.Namespace) -> CoefficientSet:
     )
 
 
-def _operator_spec(args: argparse.Namespace) -> OperatorSpec:
+def _operator_spec(args: argparse.Namespace, kind: str) -> OperatorSpec:
     cs = _coeffs(args)
-    return OperatorSpec(_KIND_FLAGS[args.kind], p=cs.p, q=cs.q, Q=cs.Q, tau=args.tau)
+    # sweep takes no --tau: its template sits at tau = 0
+    return OperatorSpec(kind, p=cs.p, q=cs.q, Q=cs.Q, tau=getattr(args, "tau", 0.0))
+
+
+def _write_report(args: argparse.Namespace, payload: dict, header=None, rows=None) -> None:
+    """Write the report to --out: CSV where the command takes ``--format csv``, else JSON."""
+    if not args.out:
+        return
+    if getattr(args, "format", "json") == "csv":
+        _write_text(args.out, _csv(rows, header))
+    else:
+        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    spec = _operator_spec(args)
+    spec = _operator_spec(args, _KIND_FLAGS[args.kind])
     if args.dump_matrix:
         a = assemble_spec(spec, args.n_basis).a
         _write_text(
@@ -116,22 +128,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             "\n".join(",".join(_fmt(v) for v in row) for row in a) + "\n",
         )
     s = spectrum(spec, args.n_basis)
-    rows = [
-        (i + 1, float(s.vals[i]), float(s.est_abs_err[i]), int(i < s.n_trusted))
-        for i in range(s.basis_n)
-    ]
-    if args.out:
-        if args.format == "json":
-            payload = {
-                "kind": s.kind,
-                "basis_n": s.basis_n,
-                "n_trusted": s.n_trusted,
-                "vals": [float(v) for v in s.vals],
-                "est_abs_err": [float(v) for v in s.est_abs_err],
-            }
-            _write_text(args.out, json.dumps(payload, indent=2) + "\n")
-        else:
-            _write_text(args.out, _csv(rows, ["n", "value", "est_abs_err", "trusted"]))
+    vals, errs = s.vals.tolist(), s.est_abs_err.tolist()
+    payload = {"kind": s.kind, "basis_n": s.basis_n, "n_trusted": s.n_trusted,
+               "vals": vals, "est_abs_err": errs}
+    rows = [(i + 1, vals[i], errs[i], int(i < s.n_trusted)) for i in range(s.basis_n)]
+    _write_report(args, payload, ["n", "value", "est_abs_err", "trusted"], rows)
     print(f"kind={s.kind} basis={s.basis_n} n_trusted={s.n_trusted}")
     return EXIT_OK
 
@@ -149,14 +150,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
     tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES[formula]
     ok = abs(report.gap) <= tol
-    if args.out:
-        if args.format == "json":
-            _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
-        else:
-            _write_text(
-                args.out,
-                _csv(report.csv_rows(), ["K", "S_K", "accelerated", "rhs", "gap"]),
-            )
+    _write_report(
+        args, report.to_dict(), ["K", "S_K", "accelerated", "rhs", "gap"], report.csv_rows()
+    )
     print(
         f"formula={formula.value} gap={_fmt(report.gap)} tol={tol:g} "
         + ("PASS" if ok else "FAIL")
@@ -173,8 +169,7 @@ def cmd_dispute(args: argparse.Namespace) -> int:
         k=args.k_trunc,
         tol=args.tol if args.tol is not None else 1e-2,
     )
-    if args.out:
-        _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
+    _write_report(args, report.to_dict())
     print(
         f"dispute={report.variant.value} verdict={report.verdict} "
         f"computed={_fmt(report.computed_lhs)} variant_rhs={_fmt(report.variant_rhs)} "
@@ -184,18 +179,11 @@ def cmd_dispute(args: argparse.Namespace) -> int:
 
 
 def cmd_asym(args: argparse.Namespace) -> int:
-    cs = _coeffs(args)
-    spec = OperatorSpec(KIND_FOURTH_ORDER, p=cs.p, q=cs.q, Q=cs.Q, tau=args.tau)
-    report = asym_residuals(spec, n=args.n_basis, k=args.k_trunc)
-    if args.out:
-        if args.format == "json":
-            _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
-        else:
-            rows = [
-                (i + 1, float(r), float((i + 1) ** 2 * abs(r)))
-                for i, r in enumerate(report.residuals)
-            ]
-            _write_text(args.out, _csv(rows, ["n", "residual", "n2_abs_residual"]))
+    report = asym_residuals(
+        _operator_spec(args, KIND_FOURTH_ORDER), n=args.n_basis, k=args.k_trunc
+    )
+    rows = [(i + 1, float(r), float((i + 1) ** 2 * abs(r))) for i, r in enumerate(report.residuals)]
+    _write_report(args, report.to_dict(), ["n", "residual", "n2_abs_residual"], rows)
     print(
         f"fitted_C={_fmt(report.fitted_c)} over n in [{report.fit_lo}, {report.fit_hi}] "
         f"basis={report.basis_n}"
@@ -204,10 +192,8 @@ def cmd_asym(args: argparse.Namespace) -> int:
 
 
 def cmd_localize(args: argparse.Namespace) -> int:
-    s = spectrum(_operator_spec(args), args.n_basis)
-    report = localization(s)
-    if args.out:
-        _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
+    report = localization(spectrum(_operator_spec(args, _KIND_FLAGS[args.kind]), args.n_basis))
+    _write_report(args, report.to_dict())
     print(
         f"n0={report.n0} violations={len(report.violations)} horizon={report.horizon}"
     )
@@ -216,8 +202,7 @@ def cmd_localize(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     target = {"V": "V", "q": "q", "Q": "Q", "p2": "p_second_order"}[args.recover]
-    cs = _coeffs(args)
-    template = OperatorSpec(target_kind(target), p=cs.p, q=cs.q, Q=cs.Q)
+    template = _operator_spec(args, target_kind(target))
     result = sweep(
         template, args.grid, n=args.n_basis, k=args.k_trunc, mode=args.mode, target=target
     )
@@ -227,48 +212,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         recover_V(result)
     else:
         recover_Q(result)
-    rows = [
-        (
-            float(result.taus[i]),
-            float(result.recovered[i, 1]),
-            float(result.accelerated[i]),
-            int(result.n_trusted[i]),
-        )
-        for i in range(len(result.taus))
-    ]
-    if args.out:
-        if args.format == "json":
-            payload = {
-                "target": result.target,
-                "mode": result.mode,
-                "basis_n": result.basis_n,
-                "k_trunc": result.k_trunc,
-                "n0": result.n0,
-                "taus": [float(t) for t in result.taus],
-                "recovered": [float(v) for v in result.recovered[:, 1]],
-                "accelerated": [float(v) for v in result.accelerated],
-                "n_trusted": [int(v) for v in result.n_trusted],
-                "sum_branch": [float(v) for v in result.sum_branch],
-                "wrap_gap": result.wrap_gap(),
+    payload = {
+        "target": result.target,
+        "mode": result.mode,
+        "basis_n": result.basis_n,
+        "k_trunc": result.k_trunc,
+        "n0": result.n0,
+        "taus": result.taus.tolist(),
+        "recovered": result.recovered[:, 1].tolist(),
+        "accelerated": result.accelerated.tolist(),
+        "n_trusted": result.n_trusted.tolist(),
+        "sum_branch": result.sum_branch.tolist(),
+        "wrap_gap": result.wrap_gap(),
+    }
+    if args.full_spectra:
+        payload["spectra"] = [
+            {
+                key: {"vals": s.vals.tolist(), "est_abs_err": s.est_abs_err.tolist(),
+                      "n_trusted": s.n_trusted}
+                for key, s in specs.items()
             }
-            if args.full_spectra:
-                payload["spectra"] = [
-                    {
-                        key: {
-                            "vals": [float(v) for v in s.vals],
-                            "est_abs_err": [float(v) for v in s.est_abs_err],
-                            "n_trusted": s.n_trusted,
-                        }
-                        for key, s in specs.items()
-                    }
-                    for specs in result.spectra
-                ]
-            _write_text(args.out, json.dumps(payload, indent=2) + "\n")
-        else:
-            _write_text(
-                args.out,
-                _csv(rows, ["tau", "recovered_value", "accelerated_sum", "n_trusted"]),
-            )
+            for specs in result.spectra
+        ]
+    rows = zip(payload["taus"], payload["recovered"], payload["accelerated"], payload["n_trusted"])
+    _write_report(args, payload, ["tau", "recovered_value", "accelerated_sum", "n_trusted"], rows)
     print(
         f"sweep target={result.target} grid={len(result.taus)} n0={result.n0} "
         f"wrap_gap={_fmt(result.wrap_gap())}"
@@ -276,13 +243,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "spectrum": cmd_spectrum,
-    "trace": cmd_trace,
-    "dispute": cmd_dispute,
-    "asym": cmd_asym,
-    "localize": cmd_localize,
-    "sweep": cmd_sweep,
+# The options several commands share, by flag; each command names the ones
+# its handler reads, so no command accepts an option it would ignore.
+_SHARED = {
+    "--p": {"dest": "p_path", "metavar": "FILE", "help": "coefficient p (JSON)"},
+    "--q": {"dest": "q_path", "metavar": "FILE", "help": "coefficient q (JSON)"},
+    "--Q": {"dest": "Q_path", "metavar": "FILE", "help": "coefficient Q (JSON)"},
+    "--tau": {"type": float, "default": 0.0, "help": "circle shift (default 0)"},
+    "-N": {"dest": "n_basis", "type": int, "default": 256, "help": "basis size (default 256)"},
+    "-K": {"dest": "k_trunc", "type": int, "default": 64, "help": "sum truncation (default 64)"},
+    "--mode": {
+        "choices": ("fourier", "richardson", "none"),
+        "default": "fourier",
+        "help": "tail acceleration mode (default fourier)",
+    },
+    "--out": {"help": "report file path"},
+    "--format": {"choices": ("csv", "json"), "default": "csv"},
+    "--tol": {"type": float, "default": None, "help": "override verification tolerance"},
 }
 
 
@@ -294,40 +271,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", dest="p_path", metavar="FILE", help="coefficient p (JSON)")
-    common.add_argument("--q", dest="q_path", metavar="FILE", help="coefficient q (JSON)")
-    common.add_argument("--Q", dest="Q_path", metavar="FILE", help="coefficient Q (JSON)")
-    common.add_argument("--tau", type=float, default=0.0, help="circle shift (default 0)")
-    common.add_argument("-N", dest="n_basis", type=int, default=256, help="basis size (default 256)")
-    common.add_argument("-K", dest="k_trunc", type=int, default=64, help="sum truncation (default 64)")
-    common.add_argument(
-        "--mode",
-        choices=("fourier", "richardson", "none"),
-        default="fourier",
-        help="tail acceleration mode (default fourier)",
-    )
-    common.add_argument("--out", help="report file path")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--tol", type=float, default=None, help="override verification tolerance")
+    def command(name, handler, help_text, *shared):
+        p = sub.add_parser(name, help=help_text)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED[flag])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("spectrum", parents=[common], help="eigenvalues with trust annotations")
+    p = command("spectrum", cmd_spectrum, "eigenvalues with trust annotations",
+                "--p", "--q", "--Q", "--tau", "-N", "--out", "--format")
     p.add_argument("--kind", choices=tuple(_KIND_FLAGS), default="H")
     p.add_argument("--dump-matrix", dest="dump_matrix", metavar="FILE", help="write the assembled matrix as CSV")
 
-    p = sub.add_parser("trace", parents=[common], help="verify one trace identity")
+    p = command("trace", cmd_trace, "verify one trace identity", *_SHARED)
     p.add_argument("--formula", required=True, choices=[f.value for f in FormulaId])
     p.add_argument("--center-q", dest="center_q", action="store_true", help="subtract the mean of q before verifying")
 
-    p = sub.add_parser("dispute", parents=[common], help="adjudicate a historical formula")
+    p = command("dispute", cmd_dispute, "adjudicate a historical formula",
+                "--p", "--q", "-N", "-K", "--out", "--tol")
     p.add_argument("--variant", required=True, choices=[v.value for v in DisputeVariant])
 
-    sub.add_parser("asym", parents=[common], help="eigenvalue-expansion residuals")
+    command("asym", cmd_asym, "eigenvalue-expansion residuals",
+            "--p", "--q", "--Q", "--tau", "-N", "-K", "--out", "--format")
 
-    p = sub.add_parser("localize", parents=[common], help="window/disc eigenvalue counting")
+    p = command("localize", cmd_localize, "window/disc eigenvalue counting",
+                "--p", "--q", "--Q", "--tau", "-N", "--out")
     p.add_argument("--kind", choices=("H", "h2q"), default="H")
 
-    p = sub.add_parser("sweep", parents=[common], help="shifted-family sweep and recovery")
+    p = command("sweep", cmd_sweep, "shifted-family sweep and recovery",
+                "--p", "--q", "--Q", "-N", "-K", "--mode", "--out", "--format")
     p.add_argument("--recover", required=True, choices=("V", "q", "Q", "p2"))
     p.add_argument("--grid", type=int, default=16, help="sweep grid size (default 16)")
     p.add_argument("--full-spectra", dest="full_spectra", action="store_true")
@@ -339,7 +311,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (PreconditionError, CoefficientFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

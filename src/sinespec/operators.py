@@ -41,6 +41,12 @@ KIND_SECOND_ORDER = "second_order"
 KIND_FOURTH_ORDER = "fourth_order"
 KIND_SQUARE_PLUS_Q = "square_plus_q"
 KINDS = (KIND_SECOND_ORDER, KIND_FOURTH_ORDER, KIND_SQUARE_PLUS_Q)
+# The coefficients each kind's assembler reads (see assemble_spec).
+_READS = {
+    KIND_SECOND_ORDER: ("p",),
+    KIND_FOURTH_ORDER: ("p", "q", "Q"),
+    KIND_SQUARE_PLUS_Q: ("p", "Q"),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,8 +126,9 @@ def assemble_h2_plus_Q(p: Coefficient, Q: Coefficient, n: int, n_pad: int) -> Ga
 class OperatorSpec:
     """One operator of the family: kind, coefficients, and circle shift tau.
 
-    Unused coefficient slots stay at zero.  A nonzero shift requires every
-    nonzero coefficient to be 1-periodic.
+    Coefficient slots the kind does not read must stay at zero: q for h and
+    h^2+Q, Q for h.  A nonzero shift requires every nonzero coefficient to
+    be 1-periodic.
     """
 
     kind: str
@@ -133,6 +140,9 @@ class OperatorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
+        for name in ("p", "q", "Q"):
+            if name not in _READS[self.kind] and not getattr(self, name).is_zero():
+                raise PreconditionError(f"operator kind {self.kind!r} takes no {name}")
         if self.tau != 0.0:
             for name in ("p", "q", "Q"):
                 f = getattr(self, name)

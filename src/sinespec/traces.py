@@ -210,6 +210,11 @@ def _zeta2_tail(k: int) -> float:
     return math.pi**2 / 6.0 - sum(1.0 / (n * n) for n in range(1, k + 1))
 
 
+def _even_cosines(g: Coefficient, k: int) -> np.ndarray:
+    """c_2, c_4, ..., c_2k of g."""
+    return g.cosine_coeffs(2 * k)[2::2][:k]
+
+
 def _endpoint_tail(g: Coefficient, k: int) -> float:
     """sum_{n > k} c_{2n}(g), closed through the endpoint-jump identity.
 
@@ -217,8 +222,7 @@ def _endpoint_tail(g: Coefficient, k: int) -> float:
     k terms leaves the exact tail of the model.
     """
     fg = g.functionals()
-    c = g.cosine_coeffs(2 * k)
-    return ((fg.end0 + fg.end1) / 4.0 - fg.mean / 2.0) - float(c[2::2][:k].sum())
+    return ((fg.end0 + fg.end1) / 4.0 - fg.mean / 2.0) - float(_even_cosines(g, k).sum())
 
 
 def _second_order_residual(p: Coefficient, q: Coefficient, n: int) -> float:
@@ -334,8 +338,17 @@ def check_basis_size(n: int, k: int) -> None:
 
 
 def check_preconditions(formula: FormulaId, coeffs: CoefficientSet) -> None:
-    """Reject inputs outside the hypothesis class of the chosen identity."""
+    """Reject inputs outside the hypothesis class of the chosen identity,
+    and any nonzero coefficient that none of its spectra reads."""
     formula = FormulaId(formula)
+    roles = FORMULAS[formula].roles
+    read = [name for name in ("p", "q", "Q") if any(name in ROLES[r][1] for r in roles)]
+    for name in ("p", "q", "Q"):
+        if name not in read and not getattr(coeffs, name).is_zero():
+            raise PreconditionError(
+                f"{formula.value} reads no {name}: its spectra ({', '.join(roles)}) "
+                f"take only {', '.join(read)}"
+            )
     for name, hypothesis in FORMULAS[formula].hypotheses:
         holds, must_be = _HYPOTHESES[hypothesis]
         if not holds(getattr(coeffs, name)):
@@ -557,28 +570,28 @@ def asym_residuals(spec: OperatorSpec, n: int = 256, k: int = 64, fit_lo: int = 
 
     Returns r_1..r_k together with the least-squares constant C fitted to
     |r_m| = C / m^2 over m in [fit_lo, k]; the expansion holds when C is
-    finite and stable under refinement.
+    finite and stable under refinement.  The bracket is the TRF3
+    counterterm with q + Q in place of q.
     """
     if spec.kind != KIND_FOURTH_ORDER:
         raise PreconditionError("asymptotic residuals are defined for the fourth-order family")
     check_basis_size(n, k)
+    lo = max(1, fit_lo)
+    if k < lo:
+        raise PreconditionError(f"K={k} is below the fit start {lo}")
     s = spectrum(spec, n)
     if k > s.n_trusted:
         raise PreconditionError(f"K={k} exceeds the trust horizon {s.n_trusted}")
     p, q, Q = spec.shifted_coefficients()
-    q_eff = q + Q
-    fp = p.functionals()
-    p0 = fp.mean
-    P = big_P(p)
-    q0 = q_eff.functionals().mean
-    vhat = build_V(p, q_eff).cosine_coeffs(2 * k)[2::2][:k]
+    cs = CoefficientSet(p=p, q=q + Q)
     ns = np.arange(1, k + 1, dtype=float)
     z2 = (np.pi * ns) ** 2
-    r = s.vals[:k] - z2 * z2 + 2.0 * p0 * z2 - p0 * p0 + 0.5 * (P + p0 * p0) - q0 + vhat
-    lo = max(1, fit_lo)
-    window = r[lo - 1 : k]
-    ns_fit = ns[lo - 1 : k]
-    fitted = float(np.mean(ns_fit**2 * np.abs(window))) if window.size else float("nan")
+    r = (
+        _trf3_summand({"mu": s.vals[:k]}, cs, z2)
+        - cs.q.functionals().mean
+        + _even_cosines(build_V(p, cs.q), k)
+    )
+    fitted = float(np.mean(ns[lo - 1 :] ** 2 * np.abs(r[lo - 1 :])))
     return AsymptoticsReport(residuals=r, fitted_c=fitted, fit_lo=lo, fit_hi=k, basis_n=n)
 
 
@@ -703,6 +716,8 @@ def dispute(
     variant = DisputeVariant(variant)
     fp = p.functionals()
     if variant in (DisputeVariant.DIKII_TRFD1, DisputeVariant.DIKII_D2):
+        if q is not None:
+            raise PreconditionError("the Dikii comparisons read no q")
         if abs(fp.mean) > MEAN_TOL or any(p.w):
             raise PreconditionError(
                 "Dikii comparisons require a zero-mean pure-cosine p "
@@ -736,10 +751,9 @@ def dispute(
             raise PreconditionError(f"K={k} exceeds the trust horizon {alpha.n_trusted}")
         ns = np.arange(1, k + 1, dtype=float)
         z2 = (np.pi * ns) ** 2
-        vhat = build_V(p, q).cosine_coeffs(2 * k)[2::2][:k]
         # third-term sequence: mu_m - (pi m)^4 + 2 p0 (pi m)^2 with the
         # oscillating part removed; fitted against const + b/m^2
-        t = alpha.vals[:k] ** 2 - z2 * z2 + 2.0 * fp.mean * z2 + vhat
+        t = _expanded(alpha.vals[:k] ** 2, fp.mean, z2) + _even_cosines(build_V(p, q), k)
         design = np.column_stack([np.ones(k - lo + 1), 1.0 / ns[lo - 1 :] ** 2])
         coef, *_ = np.linalg.lstsq(design, t[lo - 1 :], rcond=None)
         lhs = float(coef[0])

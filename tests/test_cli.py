@@ -111,8 +111,8 @@ def test_spectrum_reads_no_truncation(one):
     [
         ["trace", "--formula", "TRQ0", "-N", "64", "-K", "16"],
         ["trace", "--formula", "GLF", "-N", "64", "-K", "-4"],
-        ["spectrum", "-N", "4", "-K", "2"],
-        ["localize", "-N", "4", "-K", "2"],
+        ["spectrum", "-N", "4"],
+        ["localize", "-N", "4"],
     ],
     ids=["trq0-fourier", "negative-k", "spectrum-small-n", "localize-small-n"],
 )
@@ -125,7 +125,7 @@ def test_bad_input_exits_2_with_message(capsys, cos2, argv):
 def test_spectrum_command_writes_csv(tmp_path, capsys, one):
     out_path = tmp_path / "spec.csv"
     code = main(
-        ["spectrum", "--kind", "H", "--p", one, "-N", "32", "-K", "16", "--out", str(out_path)]
+        ["spectrum", "--kind", "H", "--p", one, "-N", "32", "--out", str(out_path)]
     )
     assert code == 0
     assert "n_trusted=" in capsys.readouterr().out
@@ -137,7 +137,7 @@ def test_spectrum_command_writes_csv(tmp_path, capsys, one):
 def test_spectrum_dump_matrix(tmp_path, one):
     dump = tmp_path / "mat.csv"
     code = main(
-        ["spectrum", "--kind", "h", "--p", one, "-N", "8", "-K", "4", "--dump-matrix", str(dump)]
+        ["spectrum", "--kind", "h", "--p", one, "-N", "8", "--dump-matrix", str(dump)]
     )
     assert code == 0
     grid = [row.split(",") for row in dump.read_text().strip().splitlines()]
@@ -173,7 +173,7 @@ def test_asym_command(tmp_path, capsys, cos2):
 
 
 def test_localize_command(capsys, cos2):
-    code = main(["localize", "--kind", "H", "--p", cos2, "-N", "64", "-K", "32"])
+    code = main(["localize", "--kind", "H", "--p", cos2, "-N", "64"])
     assert code == 0
     out = capsys.readouterr().out
     assert "n0=" in out and "violations=0" in out
@@ -242,3 +242,52 @@ def test_unknown_command_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "-K", "8"],
+        ["spectrum", "--mode", "none"],
+        ["spectrum", "--tol", "1"],
+        ["dispute", "--variant", "DikiiTrfD1", "--Q", "f.json"],
+        ["dispute", "--variant", "DikiiTrfD1", "--tau", "0.3"],
+        ["dispute", "--variant", "DikiiTrfD1", "--mode", "none"],
+        ["dispute", "--variant", "DikiiTrfD1", "--format", "json"],
+        ["asym", "--mode", "none"],
+        ["asym", "--tol", "1"],
+        ["localize", "-K", "8"],
+        ["localize", "--mode", "none"],
+        ["localize", "--format", "csv"],
+        ["localize", "--tol", "1"],
+        ["sweep", "--recover", "q", "--tau", "0.1"],
+        ["sweep", "--recover", "q", "--tol", "1"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_option_a_command_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--kind", "h2q", "--q", "{f}"], "takes no q"),
+        (["spectrum", "--kind", "h", "--Q", "{f}"], "takes no Q"),
+        (["localize", "--kind", "h2q", "--q", "{f}"], "takes no q"),
+        (["trace", "--formula", "GLF", "--q", "{f}", "-K", "16"], "reads no q"),
+        (["sweep", "--recover", "q", "--Q", "{f}", "--grid", "4", "-K", "16"], "reads no Q"),
+        (["dispute", "--variant", "DikiiTrfD1", "--q", "{f}", "-K", "16"], "read no q"),
+        (["asym", "-K", "4"], "fit start 8"),
+    ],
+    ids=["spectrum-h2q-q", "spectrum-h-Q", "localize-h2q-q", "trace-GLF-q", "sweep-q-Q",
+         "dispute-dikii-q", "asym-k-below-fit"],
+)
+def test_unread_input_exits_2(capsys, cos2, argv, message):
+    argv = [cos2 if a == "{f}" else a for a in argv]
+    assert main(argv + ["--p", cos2, "-N", "64"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -57,6 +57,12 @@ def test_sweep_rejects_small_grid_and_bad_inputs():
         sweep(OperatorSpec(KIND_FOURTH_ORDER, q=Coefficient.constant(1.0)), 4, n=16, k=8)
 
 
+def test_q_sweep_rejects_Q():
+    # the IPR1 sums read the spectra of H, not of H + Q
+    with pytest.raises(PreconditionError, match="reads no Q"):
+        sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2, Q=SIN2), 4, n=16, k=8, target="q")
+
+
 def test_recover_v_zero_operator():
     res = sweep(OperatorSpec(KIND_FOURTH_ORDER), 4, n=32, k=12, target="V")
     rec = recover_V(res)

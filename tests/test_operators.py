@@ -178,6 +178,15 @@ def test_spec_rejects_shift_of_non_periodic():
         OperatorSpec(KIND_SECOND_ORDER, p=Coefficient.harmonic_cos(1), tau=0.5)
 
 
+@pytest.mark.parametrize(
+    "kind, name",
+    [(KIND_SECOND_ORDER, "q"), (KIND_SECOND_ORDER, "Q"), (KIND_SQUARE_PLUS_Q, "q")],
+)
+def test_spec_rejects_coefficient_its_kind_does_not_read(kind, name):
+    with pytest.raises(PreconditionError, match=f"takes no {name}"):
+        OperatorSpec(kind, **{name: COS2})
+
+
 # -- refinement behaviour -----------------------------------------------------------
 
 

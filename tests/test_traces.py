@@ -16,7 +16,9 @@ from sinespec import (
     PreconditionError,
     ZERO,
     asym_residuals,
+    big_P,
     build_V,
+    check_preconditions,
     dispute,
     localization,
     partial_sums,
@@ -297,6 +299,34 @@ def test_basis_must_cover_2k(call):
         call()
 
 
+# The coefficients each formula's spectra read, stated independently of ROLES.
+READS = {
+    FormulaId.GLF: "p",
+    FormulaId.S01: "p",
+    FormulaId.TRF3: "pq",
+    FormulaId.TRS: "pq",
+    FormulaId.TRQ0: "pq",
+    FormulaId.TR3: "pqQ",
+    FormulaId.COR1: "pQ",
+    FormulaId.IPR1: "pq",
+    FormulaId.IP2: "pQ",
+}
+
+
+@pytest.mark.parametrize(
+    "formula, name",
+    [(f, name) for f, read in READS.items() for name in ("p", "q", "Q") if name not in read],
+)
+def test_unread_coefficient_rejected(formula, name):
+    with pytest.raises(PreconditionError, match=f"reads no {name}"):
+        check_preconditions(formula, CoefficientSet(**{name: SIN2}))
+
+
+def test_verify_rejects_unread_coefficient():
+    with pytest.raises(PreconditionError, match="reads no q"):
+        verify(FormulaId.GLF, CoefficientSet(p=COS2, q=SIN2), n=64, k=16)
+
+
 @pytest.mark.parametrize(
     "formula, cs, mode",
     [
@@ -369,6 +399,29 @@ def test_asym_residuals_pure_q_bounded():
     rep = asym_residuals(OperatorSpec(KIND_FOURTH_ORDER, q=SIN2), n=256, k=64)
     assert np.isfinite(rep.fitted_c)
     assert rep.fitted_c < 1.0
+
+
+def test_asym_rejects_k_below_fit_start():
+    spec = OperatorSpec(KIND_FOURTH_ORDER, p=COS2)
+    with pytest.raises(PreconditionError, match="fit start 8"):
+        asym_residuals(spec, n=64, k=4)
+    with pytest.raises(PreconditionError, match="fit start 12"):
+        asym_residuals(spec, n=64, k=11, fit_lo=12)
+
+
+@given(coefficients(max_degree=4), coefficients(max_degree=4), coefficients(max_degree=4))
+def test_asym_residuals_match_explicit_counterterm(p, q, Q):
+    # r_m = mu_m - [((pi m)^2-p0)^2 - (P+p0^2)/2 + q0 - Vhat_cm] with q + Q for q,
+    # written out term by term
+    n, k = 32, 16
+    rep = asym_residuals(OperatorSpec(KIND_FOURTH_ORDER, p=p, q=q, Q=Q), n=n, k=k)
+    mu = spectrum(OperatorSpec(KIND_FOURTH_ORDER, p=p, q=q, Q=Q), n).vals[:k]
+    q_eff = q + Q
+    p0, P, q0 = p.functionals().mean, big_P(p), q_eff.functionals().mean
+    vhat = build_V(p, q_eff).cosine_coeffs(2 * k)[2::2][:k]
+    z2 = (PI * np.arange(1, k + 1, dtype=float)) ** 2
+    expected = mu - z2 * z2 + 2.0 * p0 * z2 - p0 * p0 + 0.5 * (P + p0 * p0) - q0 + vhat
+    assert np.array_equal(rep.residuals, expected)
 
 
 def test_asym_rejects_second_order_spec():
@@ -444,6 +497,11 @@ def test_dikii_degenerate_endpoint_curvature():
 def test_dikii_rejects_sine_component():
     with pytest.raises(PreconditionError):
         dispute(DisputeVariant.DIKII_D2, SIN2, n=64, k=16)
+
+
+def test_dikii_rejects_q():
+    with pytest.raises(PreconditionError, match="read no q"):
+        dispute(DisputeVariant.DIKII_TRFD1, COS2, q=SIN2, n=64, k=16)
 
 
 def test_sadovnichii_third_term():
