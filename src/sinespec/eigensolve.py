@@ -3,10 +3,17 @@
 Solves go through LAPACK on the index-flipped matrix (see
 ``linalg.graded_eigvalsh``).  The test suite checks that route against
 hand-rolled Householder/QL and Jacobi solvers kept in ``tests/``.
+
+``spectrum`` is memoized per process by value: equal ``(OperatorSpec, n)``
+keys, even when built from separate objects, share one solve, and the 64
+most recently used results are kept.  The arrays of a returned
+``Spectrum`` are read-only, so no caller can change a cached result;
+``spectrum.cache_clear()`` empties the cache.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +66,7 @@ def trust_scale(kind: str, n):
     return (np.pi * np.asarray(n, dtype=float)) ** power
 
 
+@functools.lru_cache(maxsize=64)
 def spectrum(spec: OperatorSpec, n: int) -> Spectrum:
     """Solve at sizes n and 2n; annotate the size-n values with estimates."""
     if n < 8:
@@ -70,6 +78,8 @@ def spectrum(spec: OperatorSpec, n: int) -> Spectrum:
     est = np.abs(vals - vals_fine[:n])
     ok = est <= TRUST_TOL_DEFAULT * trust_scale(coarse.kind, np.arange(1, n + 1))
     n_trusted = n if bool(ok.all()) else int(np.argmin(ok))
+    vals.flags.writeable = False
+    est.flags.writeable = False
     return Spectrum(
         vals=vals,
         est_abs_err=est,

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coeffs import ZERO, Coefficient
 from .errors import PreconditionError
@@ -67,15 +68,21 @@ def multiplication_matrix(f: Coefficient, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("basis size must be at least 1")
     c = _cosine_table(f, n)
-    idx = np.arange(1, n + 1)
-    return c[np.abs(idx[:, None] - idx[None, :])] - c[idx[:, None] + idx[None, :]]
+    # Both parts are strided views of c, so only their difference is written,
+    # entry for entry the subtraction c[|m-k|] - c[m+k] of direct indexing.
+    # Row m of c_|m-k| (0-based) is the window of c_{n-1}..c_1, c_0..c_{n-1}
+    # starting at n-1-m; row m of c_{m+k} is the window of c starting at m+2.
+    toeplitz = sliding_window_view(np.concatenate((c[n - 1 : 0 : -1], c[:n])), n)[::-1]
+    hankel = sliding_window_view(c[2 : 2 * n + 1], n)
+    return toeplitz - hankel
 
 
 def assemble_h(p: Coefficient, n: int) -> GalerkinMatrix:
     """Second-order operator -y'' - p y with y(0) = y(1) = 0."""
     if n < 1:
         raise ValueError("basis size must be at least 1")
-    a = -multiplication_matrix(p, n)
+    a = multiplication_matrix(p, n)
+    np.negative(a, out=a)
     idx = np.arange(1, n + 1)
     a[np.diag_indices(n)] += (np.pi * idx) ** 2
     return GalerkinMatrix(a=a, kind=KIND_SECOND_ORDER)

@@ -568,10 +568,11 @@ class AsymptoticsReport:
 def asym_residuals(spec: OperatorSpec, n: int = 256, k: int = 64, fit_lo: int = 8) -> AsymptoticsReport:
     """Residuals r_m = mu_m - [((pi m)^2-p0)^2 - (P+p0^2)/2 + q0 - Vhat_cm].
 
-    Returns r_1..r_k together with the least-squares constant C fitted to
-    |r_m| = C / m^2 over m in [fit_lo, k]; the expansion holds when C is
-    finite and stable under refinement.  The bracket is the TRF3
-    counterterm with q + Q in place of q.
+    Returns r_1..r_k together with ``fitted_c``, the mean of m^2 |r_m| over
+    m in [fit_lo, k]: the magnitude of C in r_m ~ C / m^2, without its
+    sign (0.745 for p = cos 2 pi x, where C = -0.75).  The expansion holds
+    when it is finite and stable under refinement.  The bracket is the
+    TRF3 counterterm with q + Q in place of q.
     """
     if spec.kind != KIND_FOURTH_ORDER:
         raise PreconditionError("asymptotic residuals are defined for the fourth-order family")
@@ -745,8 +746,12 @@ def dispute(
                 "(the fourth-order operator must be a perfect square)"
             )
         check_basis_size(n, k)
-        alpha = spectrum(OperatorSpec(KIND_SECOND_ORDER, p=p), n)
         lo = 8
+        if k <= lo:
+            raise PreconditionError(
+                f"K={k} leaves fewer than two points for the two-term fit from {lo}"
+            )
+        alpha = spectrum(OperatorSpec(KIND_SECOND_ORDER, p=p), n)
         if k > alpha.n_trusted:
             raise PreconditionError(f"K={k} exceeds the trust horizon {alpha.n_trusted}")
         ns = np.arange(1, k + 1, dtype=float)

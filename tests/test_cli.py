@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sinespec import Coefficient
 from sinespec.cli import main
 
 
@@ -160,6 +161,17 @@ def test_dispute_command(tmp_path, capsys, cos2):
     data = json.loads(out_path.read_text())
     assert data["variant"] == "DikiiTrfD1"
     assert data["disagreement"] == pytest.approx(2 * np.pi**2, abs=1e-10)
+
+
+@pytest.mark.parametrize("k", ["4", "7", "8"])
+def test_sadovnichii_dispute_k_below_two_fit_points_exits_2(tmp_path, capsys, cos2, k):
+    p = Coefficient.harmonic_cos(2)
+    q = p.derivative(2) + p * p
+    sq = write_coeff(tmp_path, "sq.json", u=q.u, w=q.w)
+    argv = ["dispute", "--variant", "SadovnichiiTrS", "--p", cos2, "--q", sq, "-N", "64", "-K", k]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "fewer than two points" in err
 
 
 def test_asym_command(tmp_path, capsys, cos2):

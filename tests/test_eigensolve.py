@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,9 @@ from conftest import coefficients, random_symmetric
 from reference_eigensolvers import jacobi_eigenvalues, tridiag_eigenvalues, tridiagonalize
 from sinespec import (
     Coefficient,
+    CoefficientSet,
+    DisputeVariant,
+    FormulaId,
     KIND_FOURTH_ORDER,
     KIND_SECOND_ORDER,
     KIND_SQUARE_PLUS_Q,
@@ -17,9 +21,13 @@ from sinespec import (
     PreconditionError,
     ZERO,
     assemble_h,
+    dispute,
+    graded_eigh,
     graded_eigvalsh,
     multiplication_matrix,
     spectrum,
+    sweep,
+    verify,
 )
 
 PI = math.pi
@@ -136,6 +144,21 @@ def test_three_way_solver_agreement(n, seed):
     assert np.max(np.abs(lapack - jac)) < 1e-10 * scale
 
 
+@pytest.mark.parametrize("n", [2, 7, 64, 300])
+def test_graded_solves_match_solves_of_a_contiguous_copy_bit_for_bit(n):
+    # the flipped view is handed to numpy uncopied; the bits must be those
+    # of solving a contiguous flipped copy
+    rng = np.random.default_rng(n)
+    a = random_symmetric(rng, n) + np.diag((PI * np.arange(1, n + 1)) ** 4)
+    flipped = np.ascontiguousarray(a[::-1, ::-1])
+    assert graded_eigvalsh(a).tobytes() == np.sort(np.linalg.eigvalsh(flipped)).tobytes()
+    vals, vecs = np.linalg.eigh(flipped)
+    order = np.argsort(vals, kind="stable")
+    got_vals, got_vecs = graded_eigh(a)
+    assert got_vals.tobytes() == vals[order].tobytes()
+    assert got_vecs.tobytes() == vecs[::-1, :][:, order].tobytes()
+
+
 @given(st.integers(2, 24), st.integers(0, 2**31 - 1))
 @settings(max_examples=40)
 def test_trace_preserved_by_ql(n, seed):
@@ -189,6 +212,93 @@ def test_spectrum_val_and_trust_accessors():
     assert s.val(1) == pytest.approx(PI**4, rel=1e-12)
     with pytest.raises(PreconditionError):
         s.require_trusted(9)
+
+
+# -- the spectrum cache ------------------------------------------------------------
+
+
+def test_equal_specs_share_one_cached_spectrum():
+    # equal values built as separate objects are one cache key
+    a = OperatorSpec(KIND_FOURTH_ORDER, p=Coefficient(u=(0.0, 0.0, 1.0)), q=Coefficient(w=(0.0, 0.5)))
+    b = OperatorSpec(KIND_FOURTH_ORDER, p=Coefficient.harmonic_cos(2), q=Coefficient.harmonic_sin(2, 0.5))
+    assert a is not b and a.p is not b.p and a.q is not b.q
+    assert spectrum(a, 32) is spectrum(b, 32)
+
+
+@st.composite
+def operator_specs(draw):
+    kind = draw(st.sampled_from([KIND_SECOND_ORDER, KIND_FOURTH_ORDER, KIND_SQUARE_PLUS_Q]))
+    tau = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    periodic = tau != 0.0
+    p = draw(coefficients(max_degree=3, periodic=periodic))
+    q = draw(coefficients(max_degree=3, periodic=periodic)) if kind == KIND_FOURTH_ORDER else ZERO
+    Q = draw(coefficients(max_degree=3, periodic=periodic)) if kind != KIND_SECOND_ORDER else ZERO
+    return OperatorSpec(kind, p=p, q=q, Q=Q, tau=tau)
+
+
+def _bits(value):
+    """A comparable stand-in that differs whenever any stored bit differs."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + tuple(
+            (f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value)
+        )
+    if isinstance(value, dict):
+        return tuple((key, _bits(v)) for key, v in sorted(value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+@given(operator_specs())
+@settings(max_examples=20)
+def test_cached_spectrum_equals_fresh_solve_bit_for_bit(spec):
+    cached = spectrum(spec, 16)
+    assert spectrum(dataclasses.replace(spec), 16) is cached
+    assert _bits(cached) == _bits(spectrum.__wrapped__(spec, 16))
+
+
+def test_cached_arrays_are_read_only():
+    s = spectrum(OperatorSpec(KIND_SECOND_ORDER, p=COS2), 16)
+    with pytest.raises(ValueError):
+        s.vals[0] = 0.0
+    with pytest.raises(ValueError):
+        s.est_abs_err[:] = 0.0
+
+
+def test_cache_keeps_at_most_64_spectra():
+    spectrum.cache_clear()
+    for j in range(65):
+        spectrum(OperatorSpec(KIND_SECOND_ORDER, p=Coefficient.constant(j)), 8)
+    info = spectrum.cache_info()
+    assert info.misses == 65
+    assert info.currsize <= 64
+
+
+def test_consumers_identical_on_warm_and_cleared_cache():
+    sin2 = Coefficient.harmonic_sin(2)
+    sq = COS2.derivative(2) + COS2 * COS2
+    rows = [
+        (FormulaId.TRF3, CoefficientSet(p=COS2, q=sin2), 64),
+        (FormulaId.COR1, CoefficientSet(p=COS2, Q=COS2), 32),
+    ]
+
+    def run():
+        return [
+            *(verify(f, c, n=n, k=16, mode=mode)
+              for f, c, n in rows for mode in ("fourier", "richardson")),
+            sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=sin2), 4, n=32, k=12),
+            dispute(DisputeVariant.DIKII_TRFD1, COS2, n=64, k=16),
+            dispute(DisputeVariant.SADOVNICHII_TRS, COS2, q=sq, n=64, k=16),
+        ]
+
+    run()
+    warm = _bits(run())
+    spectrum.cache_clear()
+    assert _bits(run()) == warm
 
 
 # -- robustness fuzz ----------------------------------------------------------------

@@ -106,6 +106,20 @@ def test_assembled_matrices_exactly_symmetric(f):
         assert np.array_equal(a, a.T)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 129])
+@given(f=coefficients(max_degree=5))
+def test_multiplication_matrix_equals_direct_indexing_bit_for_bit(f, n):
+    c = f.cosine_coeffs(2 * n)
+    idx = np.arange(1, n + 1)
+    direct = c[np.abs(idx[:, None] - idx[None, :])] - c[idx[:, None] + idx[None, :]]
+    m = multiplication_matrix(f, n)
+    assert m.shape == (n, n) and m.flags.c_contiguous
+    assert m.tobytes() == direct.tobytes()
+    h = -direct
+    h[np.diag_indices(n)] += (np.pi * idx) ** 2
+    assert assemble_h(f, n).a.tobytes() == h.tobytes()
+
+
 # -- squared operator plus Q ------------------------------------------------------
 
 

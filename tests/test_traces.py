@@ -504,6 +504,14 @@ def test_dikii_rejects_q():
         dispute(DisputeVariant.DIKII_TRFD1, COS2, q=SIN2, n=64, k=16)
 
 
+@pytest.mark.parametrize("k", [4, 7, 8])
+def test_sadovnichii_rejects_k_without_two_fit_points(k):
+    # the third term is fitted to const + b/m^2 over m in [8, K]
+    q = COS2.derivative(2) + COS2 * COS2
+    with pytest.raises(PreconditionError, match="fewer than two points"):
+        dispute(DisputeVariant.SADOVNICHII_TRS, COS2, q=q, n=64, k=k)
+
+
 def test_sadovnichii_third_term():
     q = COS2.derivative(2) + COS2 * COS2
     rep = dispute(DisputeVariant.SADOVNICHII_TRS, COS2, q=q, n=256, k=64)
