@@ -22,7 +22,7 @@ def main() -> int:
     ap.add_argument("--grid", type=int, default=16)
     ap.add_argument("-N", dest="n", type=int, default=256)
     ap.add_argument("-K", dest="k", type=int, default=64)
-    ap.add_argument("--mode", default="richardson", choices=("fourier", "richardson", "none"))
+    ap.add_argument("--mode", default="fourier", choices=("fourier", "richardson", "none"))
     ap.add_argument("--out", default="recovered_q.csv")
     args = ap.parse_args()
 

@@ -52,8 +52,8 @@ def main() -> int:
     print(f"\n{len(PANEL) - failures}/{len(PANEL)} identities verified at default tolerances")
     if failures and args.mode == "fourier":
         print(
-            "note: the fourier tail model leaves the third-order part of the TRF3/IPR1 "
-            "1/n^2 constant and the 1/n^2 terms of S01/TR3/COR1; rerun with --mode richardson"
+            "note: the fourier tail model leaves the third-order part of the 1/n^2 "
+            "constant of each TRF3 term; rerun with --mode richardson"
         )
     return 0 if failures == 0 else 1
 

@@ -16,6 +16,7 @@ exactly when every odd-frequency amplitude vanishes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -247,8 +248,13 @@ class Coefficient:
                 c[start :: 2] += wa[j] * (2.0 * j / math.pi) / (j * j - ks * ks)
         return c
 
+    @functools.lru_cache(maxsize=256)
     def functionals(self) -> "Functionals":
-        """All scalar functionals in closed form from the amplitudes."""
+        """All scalar functionals in closed form from the amplitudes.
+
+        Memoized by value: a coefficient is frozen and hashes by its
+        amplitudes, and the ``Functionals`` returned are frozen too.
+        """
         ua, wa = self._aligned()
         j = np.arange(self.degree + 1, dtype=float)
         sgn = (-1.0) ** j

@@ -9,12 +9,13 @@ recovery routines then invert the pointwise identities
     Q(tau) = -2 sum(nu_n(tau) - alpha_n^2)   (squared family)
     p(tau) = +2 sum(alpha_n(tau) - (pi n)^2) (second-order family, p0 = 0)
 
-Richardson extrapolation is the default acceleration here: it needs no
-tail model.  The closed-form ``fourier`` model of the IPR1 sums carries
-the 1/n^2 constant that second-order perturbation theory derives from
-the Galerkin entries and leaves only its third-order part; at the
-default sizes it recovers q = sin(2 pi x) under p = cos(2 pi x) on a
-16-point grid to 2.3e-4, against 8.0e-4 with richardson.
+The closed-form ``fourier`` tail is the default acceleration, as in the
+CLI.  Its model of the IPR1 and IP2 sums carries the 1/n^2 constant that
+second-order perturbation theory derives from the Galerkin entries and
+leaves only its third-order part.  At the default sizes, under
+p = cos(2 pi x), it recovers q = sin(2 pi x) on a 16-point grid to
+2.4e-4 and Q = sin(2 pi x) on a 4-point grid to 1.9e-4, against 7.9e-4
+and 3.2e-4 with ``richardson``, which needs no model.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def sweep(
     grid_size: int,
     n: int = 256,
     k: int = 64,
-    mode: str = "richardson",
+    mode: str = "fourier",
     target: str | None = None,
 ) -> SweepResult:
     """Solve the shifted family on a uniform grid of tau in [0, 1)."""

@@ -17,10 +17,27 @@ nu = squared-second-order plus Q):
     IPR1  TRF3 for the tau-shifted family               = -(P-p0^2+2 V(tau))/4
     IP2   sum(nu_n(tau) - alpha_n(tau)^2)               = -Q(tau)/2
 
-``FORMULAS`` holds one entry per id: the spectra it reads, its summand,
-right side and tail model, its tolerance and its hypotheses.  At a shift
-tau every identity reads the spectra of the shifted operators; the right
-sides stated at tau = 0 are then evaluated on the shifted coefficients.
+The eight fourth-order identities are one: TRF3 of an effective q.
+Each spectrum they read is that of H(p, q_eff) on the same domain,
+
+    role   spectrum   q_eff
+    mu     mu_n       q
+    lam    lambda_n   q + Q
+    alpha  alpha_n^2  p'' + p^2         (h^2 = H(p, p'' + p^2))
+    nu     nu_n       p'' + p^2 + Q
+
+and each identity is a signed sum of TRF3 identities, with q_eff - q0
+for q (q0 = int q_eff shifts every eigenvalue by q0):
+
+    S01 = TRF3(alpha)          TRF3, TRS, TRQ0, IPR1 = TRF3(mu)
+    TR3 = TRF3(lam) - TRF3(mu) COR1, IP2 = TRF3(nu) - TRF3(alpha)
+
+so one summand, one right side and one ``fourier`` tail, -c_2n(V) + C/n^2
+per term, serve all eight.  ``FORMULAS`` holds one entry per id: GLF
+with its own summand, right side and tail, and for the others only the
+signed roles, the tolerance and the hypotheses.  At a shift tau every
+identity reads the spectra of the shifted operators; the right sides
+stated at tau = 0 are then evaluated on the shifted coefficients.
 
 Counterterms are evaluated in the expanded form
 mu_n - (pi n)^4 + 2 p0 (pi n)^2 - p0^2 to limit cancellation, and the
@@ -29,10 +46,10 @@ partial sums are accumulated with compensated summation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -127,82 +144,28 @@ _HYPOTHESES = {
 }
 
 
-@dataclass(frozen=True)
-class Formula:
-    """One trace identity, the fields in table order.
-
-    ``roles``: the spectra it reads, the first being the one a sweep tracks.
-    ``summand(vals, coeffs, z2)``: the regularized summands n = 1..k from
-    ``vals[role]``, the lowest k eigenvalues, and z2 = (pi n)^2.
-    ``rhs(coeffs, tau)``: the closed-form right side at shift tau.
-    ``tail(s_k, shifted_coeffs, k)``: S_k closed by the ``fourier`` model of
-    the summands, ``None`` where none is derived.  ``tol``: the tolerance
-    at the default sizes.  ``hypotheses``: (coefficient, hypothesis) pairs.
-    """
-
-    roles: tuple
-    summand: Callable
-    rhs: Callable
-    tail: Callable | None
-    tol: float
-    hypotheses: tuple = ()
-
-
 def _expanded(x, p0: float, z2):
     # x - ((pi n)^2 - p0)^2 + p0^2 with the square expanded
     return x - z2 * z2 + 2.0 * p0 * z2
 
 
-def _s01_summand(vals, cs: CoefficientSet, z2):
-    alpha = vals["alpha"]
-    p0, P = cs.p.functionals().mean, big_P(cs.p)
-    return _expanded(alpha * alpha, p0, z2) - p0 * p0 - 0.5 * (P - p0 * p0)
+# The effective q of each role: its spectrum is that of H(p, q_eff), with
+# alpha read as alpha^2 (h^2 = H(p, p'' + p^2) on the same domain).
+_EFFECTIVE_Q = {
+    "alpha": lambda cs: cs.p.derivative(2) + cs.p * cs.p,
+    "mu": lambda cs: cs.q,
+    "lam": lambda cs: cs.q + cs.Q,
+    "nu": lambda cs: cs.p.derivative(2) + cs.p * cs.p + cs.Q,
+}
 
 
-def _trf3_summand(vals, cs: CoefficientSet, z2):
-    p0, P = cs.p.functionals().mean, big_P(cs.p)
-    return _expanded(vals["mu"], p0, z2) - p0 * p0 + 0.5 * (P + p0 * p0)
-
-
-def _at_shift(closed_form):
-    """The right side of an identity stated at tau = 0, taken at shift tau."""
-    return lambda cs, tau: closed_form(cs.shifted(tau))
-
-
-def _glf_rhs(cs: CoefficientSet) -> float:
-    fp = cs.p.functionals()
-    return (fp.end0 + fp.end1) / 4.0 - fp.mean / 2.0
-
-
-def _s01_rhs(cs: CoefficientSet) -> float:
-    fp, P = cs.p.functionals(), big_P(cs.p)
-    p0 = fp.mean
-    return (P + p0 * p0) / 4.0 - (fp.end0**2 + fp.end1**2) / 4.0 - (fp.d2_0 + fp.d2_1) / 8.0
-
-
-def _trf3_rhs(cs: CoefficientSet) -> float:
-    p0, fv = cs.p.functionals().mean, build_V(cs.p, cs.q).functionals()
-    return -0.25 * ((big_P(cs.p) - p0 * p0) + fv.end0 + fv.end1)
-
-
-def _trs_rhs(cs: CoefficientSet) -> float:
-    fq = cs.q.functionals()
-    return -0.25 * (fq.end0 + fq.end1)
-
-
-def _trq0_rhs(cs: CoefficientSet) -> float:
-    fp = cs.p.functionals()
-    return -0.25 * (big_P(cs.p) - fp.mean * fp.mean) + 0.125 * (fp.d2_0 + fp.d2_1)
-
-
-def _q_ends_rhs(cs: CoefficientSet) -> float:
-    fQ = cs.Q.functionals()
-    return -0.25 * (fQ.end0 + fQ.end1 - 2.0 * fQ.mean)
-
-
-def _ipr1_rhs(cs: CoefficientSet, tau: float) -> float:
-    p0, v_at_tau = cs.p.functionals().mean, build_V(cs.p, cs.q).evaluate(tau - math.floor(tau))
-    return -0.25 * ((big_P(cs.p) - p0 * p0) + 2.0 * v_at_tau)
+@functools.lru_cache(maxsize=256)
+def _effective_q(role: str, cs: CoefficientSet) -> tuple:
+    """(q_eff - mean(q_eff), mean(q_eff)) of a role; the mean only shifts
+    every eigenvalue.  Memoized by value, like ``spectrum``."""
+    q = _EFFECTIVE_Q[role](cs)
+    q0 = q.functionals().mean
+    return q - Coefficient.constant(q0), q0
 
 
 def _zeta2_tail(k: int) -> float:
@@ -231,11 +194,10 @@ def _second_order_residual(p: Coefficient, q: Coefficient, n: int) -> float:
 
     The constant parts of p and q are diagonal in the sine basis, so they
     go into the unperturbed operator, with eigenvalues d_m = (pi m)^4 -
-    2 p0 (pi m)^2 + q0; the summand's counterterms remove them (q0 is
-    zero for every formula that reads this model).  The mean-free rest
-    couples mode n to the modes m <= 8n through the assemble_H entries
-    E_mn: first order adds E_nn, second order the sum of
-    E_mn^2 / (d_n - d_m).  What is left is C/n^2 + O(1/n^4).
+    2 p0 (pi m)^2 + q0; the summand's counterterms remove them.  The
+    mean-free rest couples mode n to the modes m <= 8n through the
+    assemble_H entries E_mn: first order adds E_nn, second order the sum
+    of E_mn^2 / (d_n - d_m).  What is left is C/n^2 + O(1/n^4).
     """
     m_max = 8 * n
     cp = p.cosine_coeffs(m_max + n)
@@ -254,6 +216,7 @@ def _second_order_residual(p: Coefficient, q: Coefficient, n: int) -> float:
     return float(n * n * (first + second))
 
 
+@functools.lru_cache(maxsize=256)
 def _second_order_constant(p: Coefficient, q: Coefficient) -> float:
     """C in the TRF3 summand law -c_2n(V) + C/n^2, from the Galerkin entries.
 
@@ -264,66 +227,100 @@ def _second_order_constant(p: Coefficient, q: Coefficient) -> float:
     amplitudes change C in ways this closed form does not follow.
     Third-order terms, which also scale as 1/n^2, are not included.  For a
     constant p the q couplings leave only O(1/n^4), so C is exactly zero.
+    The mean of q does not enter.  Memoized by value, like ``spectrum``.
     """
     if p.is_constant():
         return 0.0
     return (4.0 * _second_order_residual(p, q, 256) - _second_order_residual(p, q, 128)) / 3.0
 
 
-def _glf_tail(s_k: float, cs: CoefficientSet, k: int) -> float:
-    # summand (P - p0^2) / (2 pi n)^2
-    P = big_P(cs.p)
-    return s_k + (P - cs.p.functionals().mean ** 2) / (4.0 * math.pi**2) * _zeta2_tail(k)
+@dataclass(frozen=True)
+class Formula:
+    """One trace identity: TRF3 applied to a signed sum of spectra.
+
+    ``terms``: (role, sign) pairs, each role read as the spectrum of
+    H(p, q_eff) (see ``_EFFECTIVE_Q``); the first role is the one a sweep
+    tracks.  The signs sum to 1 (one TRF3 sum) or to 0 (a difference of
+    two, whose p-only counterterms cancel).  ``tol``: the tolerance at
+    the default sizes.  ``hypotheses``: (coefficient, hypothesis) pairs.
+    ``fourier``: whether the ``fourier`` tail model applies.
+    """
+
+    terms: tuple
+    tol: float
+    hypotheses: tuple = ()
+    fourier: bool = True
+
+    @property
+    def roles(self) -> tuple:
+        return tuple(role for role, _ in self.terms)
+
+    def summand(self, vals, cs: CoefficientSet, z2):
+        """The regularized summands n = 1..k from ``vals[role]``, the lowest
+        k eigenvalues, and z2 = (pi n)^2."""
+        x = sum(sign * (vals[r] ** 2 if r == "alpha" else vals[r]) for r, sign in self.terms)
+        q0 = sum(sign * _effective_q(r, cs)[1] for r, sign in self.terms)
+        if sum(sign for _, sign in self.terms) == 0:
+            # the p-only counterterms of the two TRF3 sums cancel
+            return x - q0
+        p0, P = cs.p.functionals().mean, big_P(cs.p)
+        return _expanded(x, p0, z2) - p0 * p0 + 0.5 * (P + p0 * p0) - q0
+
+    def rhs(self, cs: CoefficientSet) -> float:
+        """The closed-form right side -(P - p0^2 + V(0) + V(1))/4 per term,
+        V = q_eff - mean(q_eff) - p''/2."""
+        p0, P = cs.p.functionals().mean, big_P(cs.p)
+        total = 0.0
+        for role, sign in self.terms:
+            fv = build_V(cs.p, _effective_q(role, cs)[0]).functionals()
+            total += sign * -0.25 * ((P - p0 * p0) + fv.end0 + fv.end1)
+        return total
+
+    def tail(self, s_k: float, cs: CoefficientSet, k: int) -> float:
+        """S_k closed by the summand model -c_2n(V) + C/n^2 per term."""
+        for role, sign in self.terms:
+            q = _effective_q(role, cs)[0]
+            s_k = (s_k - sign * _endpoint_tail(build_V(cs.p, q), k)
+                   + sign * _second_order_constant(cs.p, q) * _zeta2_tail(k))
+        return s_k
 
 
-def _s01_tail(s_k: float, cs: CoefficientSet, k: int) -> float:
-    # summand -c_2n(p'')/2 - c_2n(p^2)
-    return s_k - 0.5 * _endpoint_tail(cs.p.derivative(2), k) - _endpoint_tail(cs.p * cs.p, k)
+class _SecondOrder(Formula):
+    """GLF: the second-order identity, whose one term reads alpha itself;
+    it has its own summand, right side and tail."""
+
+    def summand(self, vals, cs: CoefficientSet, z2):
+        return vals["alpha"] - z2 + cs.p.functionals().mean
+
+    def rhs(self, cs: CoefficientSet) -> float:
+        fp = cs.p.functionals()
+        return (fp.end0 + fp.end1) / 4.0 - fp.mean / 2.0
+
+    def tail(self, s_k: float, cs: CoefficientSet, k: int) -> float:
+        # summand (P - p0^2) / (2 pi n)^2
+        P = big_P(cs.p)
+        return s_k + (P - cs.p.functionals().mean ** 2) / (4.0 * math.pi**2) * _zeta2_tail(k)
 
 
-def _v_tail(s_k: float, cs: CoefficientSet, k: int) -> float:
-    # summand -c_2n(V) + C/n^2
-    v = build_V(cs.p, cs.q)
-    return s_k - _endpoint_tail(v, k) + _second_order_constant(cs.p, cs.q) * _zeta2_tail(k)
-
-
-def _q_tail(s_k: float, cs: CoefficientSet, k: int) -> float:
-    # summand -c_2n(Q)
-    return s_k - _endpoint_tail(cs.Q, k)
-
-
-# Tolerances at the default sizes (N=256, K=64), sized from the tail
-# models: 1e-2 where the leftover summand tail is O(1/n^2) (S01, whose
-# 1/n^2 term is not modeled; TRF3/IPR1, whose 1/n^2 constant is modeled to
-# second order only, leaving the third-order part; TRQ0, which has
-# richardson only), 1e-3 for the function-perturbation and second-order
-# sums whose leftover decays faster.
+# Tolerances at the default sizes (N=256, K=64), sized from what the tail
+# models leave: 1e-2 where an O(1/n^2) tail is left (S01, TRF3 and IPR1,
+# whose 1/n^2 constant is modeled to second order only, leaving the
+# third-order part; TRQ0, which has richardson only), 1e-3 where less is
+# left (GLF; TRS, whose constant p has no 1/n^2 term; and TR3, COR1 and
+# IP2, differences of two TRF3 sums over the same p, whose third-order
+# parts largely cancel).
 FORMULAS = {
-    FormulaId.GLF: Formula(
-        ("alpha",), lambda vals, cs, z2: vals["alpha"] - z2 + cs.p.functionals().mean,
-        _at_shift(_glf_rhs), _glf_tail, 1e-3),
-    FormulaId.S01: Formula(("alpha",), _s01_summand, _at_shift(_s01_rhs), _s01_tail, 1e-2),
-    FormulaId.TRF3: Formula(
-        ("mu",), _trf3_summand, _at_shift(_trf3_rhs), _v_tail, 1e-2, (("q", "zero_mean"),)),
-    FormulaId.TRS: Formula(
-        ("mu",), lambda vals, cs, z2: _expanded(vals["mu"], cs.p.functionals().mean, z2),
-        _at_shift(_trs_rhs), _v_tail, 1e-3, (("q", "zero_mean"), ("p", "constant"))),
-    FormulaId.TRQ0: Formula(
-        ("mu",), _trf3_summand, _at_shift(_trq0_rhs), None, 1e-2, (("q", "zero"),)),
-    FormulaId.TR3: Formula(
-        ("mu", "lam"), lambda vals, cs, z2: vals["lam"] - vals["mu"] - cs.Q.functionals().mean,
-        _at_shift(_q_ends_rhs), _q_tail, 1e-3),
-    FormulaId.COR1: Formula(
-        ("nu", "alpha"),
-        lambda vals, cs, z2: vals["nu"] - cs.Q.functionals().mean - vals["alpha"] * vals["alpha"],
-        _at_shift(_q_ends_rhs), _q_tail, 1e-3),
+    FormulaId.GLF: _SecondOrder((("alpha", 1),), 1e-3),
+    FormulaId.S01: Formula((("alpha", 1),), 1e-2),
+    FormulaId.TRF3: Formula((("mu", 1),), 1e-2, (("q", "zero_mean"),)),
+    FormulaId.TRS: Formula((("mu", 1),), 1e-3, (("q", "zero_mean"), ("p", "constant"))),
+    FormulaId.TRQ0: Formula((("mu", 1),), 1e-2, (("q", "zero"),), fourier=False),
+    FormulaId.TR3: Formula((("lam", 1), ("mu", -1)), 1e-3),
+    FormulaId.COR1: Formula((("nu", 1), ("alpha", -1)), 1e-3),
     FormulaId.IPR1: Formula(
-        ("mu",), _trf3_summand, _ipr1_rhs, _v_tail, 1e-2,
-        (("q", "zero_mean"), ("p", "periodic"), ("q", "periodic"))),
+        (("mu", 1),), 1e-2, (("q", "zero_mean"), ("p", "periodic"), ("q", "periodic"))),
     FormulaId.IP2: Formula(
-        ("nu", "alpha"), lambda vals, cs, z2: vals["nu"] - vals["alpha"] * vals["alpha"],
-        lambda cs, tau: -0.5 * cs.Q.evaluate(tau - math.floor(tau)), _q_tail, 1e-3,
-        (("Q", "zero_mean"), ("Q", "periodic"))),
+        (("nu", 1), ("alpha", -1)), 1e-3, (("Q", "zero_mean"), ("Q", "periodic"))),
 }
 
 DEFAULT_TOLERANCES = {formula: entry.tol for formula, entry in FORMULAS.items()}
@@ -398,7 +395,7 @@ def rhs(formula: FormulaId, coeffs: CoefficientSet, tau: float = 0.0) -> float:
     """Closed-form right side of the chosen identity at shift tau."""
     formula = FormulaId(formula)
     check_preconditions(formula, coeffs)
-    return FORMULAS[formula].rhs(coeffs, tau)
+    return FORMULAS[formula].rhs(coeffs.shifted(tau))
 
 
 def tail_accelerate(
@@ -412,14 +409,14 @@ def tail_accelerate(
     """Accelerated limit of the trace sum from its partial sums.
 
     ``fourier`` replaces the truncated remainder by the closed-form tail
-    of the summand model: the endpoint-jump series for the V/Q based sums,
-    plus for TRF3/IPR1 the C/n^2 term whose constant second-order
-    perturbation theory derives from the Galerkin entries; the known
-    1/(2 pi n)^2 law for GLF; the derivative/square pair for S01.  Left
-    out are the third-order part of C, and the 1/n^2 terms of the S01,
-    TR3 and COR1 summands; TRQ0 has no model.  ``richardson``
-    extrapolates 2 S_{2m} - S_m against a C/K tail and needs no model.
-    ``none`` returns S_k.
+    of the summand model: the known 1/(2 pi n)^2 law for GLF, and for
+    every fourth-order formula, per signed term, the TRF3 law
+    -c_2n(V) + C/n^2 of its effective q, with V = q_eff - q0 - p''/2
+    closed through the endpoint-jump series and C derived by second-order
+    perturbation theory from the Galerkin entries.  Left out is the
+    third-order part of C; TRQ0 is refused.  ``richardson`` extrapolates
+    2 S_{2m} - S_m against a C/K tail and needs no model.  ``none``
+    returns S_k.
     """
     formula = FormulaId(formula)
     partial = np.asarray(partial, dtype=float)
@@ -435,12 +432,11 @@ def tail_accelerate(
         return float(2.0 * partial[2 * m - 1] - partial[m - 1])
     if mode != "fourier":
         raise ValueError(f"unknown acceleration mode {mode!r}")
-    tail = FORMULAS[formula].tail
-    if tail is None:
+    if not FORMULAS[formula].fourier:
         raise PreconditionError(
             f"fourier tail model is not defined for {formula.value}; use richardson"
         )
-    return tail(s_k, coeffs.shifted(tau), k)
+    return FORMULAS[formula].tail(s_k, coeffs.shifted(tau), k)
 
 
 @dataclass(frozen=True)
@@ -554,11 +550,13 @@ class AsymptoticsReport:
     fit_lo: int
     fit_hi: int
     basis_n: int
+    derived_c: float
 
     def to_dict(self) -> dict:
         return {
             "residuals": [float(r) for r in self.residuals],
             "fitted_c": self.fitted_c,
+            "derived_c": self.derived_c,
             "fit_lo": self.fit_lo,
             "fit_hi": self.fit_hi,
             "basis_n": self.basis_n,
@@ -570,9 +568,11 @@ def asym_residuals(spec: OperatorSpec, n: int = 256, k: int = 64, fit_lo: int = 
 
     Returns r_1..r_k together with ``fitted_c``, the mean of m^2 |r_m| over
     m in [fit_lo, k]: the magnitude of C in r_m ~ C / m^2, without its
-    sign (0.745 for p = cos 2 pi x, where C = -0.75).  The expansion holds
-    when it is finite and stable under refinement.  The bracket is the
-    TRF3 counterterm with q + Q in place of q.
+    sign (0.745 for p = cos 2 pi x), and ``derived_c``, the signed C that
+    second-order perturbation theory derives for the shifted (p, q + Q)
+    (-0.75 there).  The expansion holds when it is finite and stable
+    under refinement.  r_m is the TRF3 summand with q + Q in place of q,
+    plus the m-th even cosine of V.
     """
     if spec.kind != KIND_FOURTH_ORDER:
         raise PreconditionError("asymptotic residuals are defined for the fourth-order family")
@@ -587,13 +587,13 @@ def asym_residuals(spec: OperatorSpec, n: int = 256, k: int = 64, fit_lo: int = 
     cs = CoefficientSet(p=p, q=q + Q)
     ns = np.arange(1, k + 1, dtype=float)
     z2 = (np.pi * ns) ** 2
-    r = (
-        _trf3_summand({"mu": s.vals[:k]}, cs, z2)
-        - cs.q.functionals().mean
-        + _even_cosines(build_V(p, cs.q), k)
-    )
+    trf3 = FORMULAS[FormulaId.TRF3]
+    r = trf3.summand({"mu": s.vals[:k]}, cs, z2) + _even_cosines(build_V(p, cs.q), k)
     fitted = float(np.mean(ns[lo - 1 :] ** 2 * np.abs(r[lo - 1 :])))
-    return AsymptoticsReport(residuals=r, fitted_c=fitted, fit_lo=lo, fit_hi=k, basis_n=n)
+    return AsymptoticsReport(
+        residuals=r, fitted_c=fitted, fit_lo=lo, fit_hi=k, basis_n=n,
+        derived_c=_second_order_constant(p, cs.q),
+    )
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,16 @@ def test_asym_command(tmp_path, capsys, cos2):
     assert len(rows) == 49
 
 
+def test_asym_json_reports_the_signed_derived_constant(tmp_path, capsys, cos2):
+    out_path = tmp_path / "asym.json"
+    code = main(["asym", "--p", cos2, "-N", "128", "-K", "48", "--out", str(out_path),
+                 "--format", "json"])
+    assert code == 0
+    data = json.loads(out_path.read_text())
+    assert data["derived_c"] == pytest.approx(-0.75, abs=1e-6)
+    assert data["fitted_c"] > 0.0
+
+
 def test_localize_command(capsys, cos2):
     code = main(["localize", "--kind", "H", "--p", cos2, "-N", "64"])
     assert code == 0

@@ -175,3 +175,18 @@ def test_recover_v_accepts_explicit_scalars():
     rec_default = recover_V(res).copy()
     rec_given = recover_V(res, p0=0.0, p_l2sq=0.0)
     assert np.allclose(rec_default, rec_given, atol=0)
+
+
+@pytest.mark.parametrize(
+    "template, target",
+    [
+        (OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2), "q"),
+        (OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2), "Q"),
+    ],
+)
+def test_sweep_defaults_to_fourier(template, target):
+    default = sweep(template, 4, n=64, k=24, target=target)
+    explicit = sweep(template, 4, n=64, k=24, target=target, mode="fourier")
+    assert default.mode == "fourier"
+    assert np.array_equal(default.accelerated, explicit.accelerated)
+    assert default.wrap_accelerated == explicit.wrap_accelerated
