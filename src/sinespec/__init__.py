@@ -8,7 +8,7 @@ from .coeffs import ZERO, Coefficient, Functionals, big_P, build_V
 from .errors import CoefficientFileError, NumericError, PreconditionError
 from .eigensolve import Spectrum, spectrum, trust_scale
 from .inverse import SweepResult, fit_trig, recover_Q, recover_V, recover_q, sweep
-from .linalg import compensated_cumsum, graded_eigh, graded_eigvalsh
+from .linalg import compensated_cumsum, factored_eigvalsh, graded_eigvalsh
 from .operators import (
     KIND_FOURTH_ORDER,
     KIND_SECOND_ORDER,
@@ -67,7 +67,7 @@ __all__ = [
     "spectrum",
     "trust_scale",
     "graded_eigvalsh",
-    "graded_eigh",
+    "factored_eigvalsh",
     "compensated_cumsum",
     "FormulaId",
     "CoefficientSet",

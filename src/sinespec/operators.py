@@ -9,7 +9,10 @@ entries are closed forms:
     <2 (f y')' s_m, s_n>   = -2 pi^2 m n (c_|m-n|(f) + c_{m+n}(f))
 
 Assembled matrices are exactly symmetric entry-by-entry because each
-entry is built from index-symmetric expressions.
+entry is built from index-symmetric expressions; c_|m-n| and c_{m+n} are
+strided Toeplitz and Hankel views of one cosine table.  Where y = y'' = 0
+at both endpoints, (-D^2 - p)^2 y = y'''' + 2 (p y')' + (p'' + p^2) y, so
+h^2 + Q is assembled as H(p, p'' + p^2 + Q).
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .coeffs import ZERO, Coefficient
 from .errors import PreconditionError
-from .linalg import graded_eigh
 
 __all__ = [
     "KIND_SECOND_ORDER",
@@ -58,22 +60,21 @@ class GalerkinMatrix:
     kind: str
 
 
-def _cosine_table(f: Coefficient, n: int) -> np.ndarray:
-    # indices up to m + n = 2n are touched during assembly
-    return f.cosine_coeffs(2 * n)
+def _toeplitz_hankel(f: Coefficient, n: int):
+    """Strided views (c_|m-k|, c_{m+k}) of f's cosine table, m, k = 1..n."""
+    c = f.cosine_coeffs(2 * n)
+    # Row m (0-based) of c_|m-k| is the window of c_{n-1}..c_1, c_0..c_{n-1}
+    # starting at n-1-m; row m of c_{m+k} is the window of c starting at m+2.
+    toeplitz = sliding_window_view(np.concatenate((c[n - 1 : 0 : -1], c[:n])), n)[::-1]
+    hankel = sliding_window_view(c[2 : 2 * n + 1], n)
+    return toeplitz, hankel
 
 
 def multiplication_matrix(f: Coefficient, n: int) -> np.ndarray:
     """Matrix of pointwise multiplication by f in the sine basis."""
     if n < 1:
         raise ValueError("basis size must be at least 1")
-    c = _cosine_table(f, n)
-    # Both parts are strided views of c, so only their difference is written,
-    # entry for entry the subtraction c[|m-k|] - c[m+k] of direct indexing.
-    # Row m of c_|m-k| (0-based) is the window of c_{n-1}..c_1, c_0..c_{n-1}
-    # starting at n-1-m; row m of c_{m+k} is the window of c starting at m+2.
-    toeplitz = sliding_window_view(np.concatenate((c[n - 1 : 0 : -1], c[:n])), n)[::-1]
-    hankel = sliding_window_view(c[2 : 2 * n + 1], n)
+    toeplitz, hankel = _toeplitz_hankel(f, n)
     return toeplitz - hankel
 
 
@@ -92,40 +93,23 @@ def assemble_H(p: Coefficient, q: Coefficient, n: int) -> GalerkinMatrix:
     """Fourth-order operator y'''' + 2 (p y')' + q y with y = y'' = 0 at 0, 1."""
     if n < 1:
         raise ValueError("basis size must be at least 1")
-    idx = np.arange(1, n + 1)
-    a = fourth_order_entries(_cosine_table(p, n), _cosine_table(q, n), idx[:, None], idx[None, :])
+    idx = np.arange(1, n + 1, dtype=float)
+    mk = np.multiply.outer(idx, idx)
+    a = fourth_order_entries(_toeplitz_hankel(p, n), _toeplitz_hankel(q, n), mk)
     a[np.diag_indices(n)] += (np.pi * idx) ** 4
     return GalerkinMatrix(a=a, kind=KIND_FOURTH_ORDER)
 
 
-def fourth_order_entries(cp: np.ndarray, cq: np.ndarray, m, k) -> np.ndarray:
-    """Entries <(2 (p y')' + q y) s_m, s_k> from the cosine tables of p and q.
-
-    ``m`` and ``k`` are broadcastable 1-based index arrays, and both tables
-    must reach index m + k.  The (pi m)^4 diagonal of y'''' is left out.
-    """
-    return -2.0 * np.pi**2 * (m * k) * (cp[np.abs(m - k)] + cp[m + k]) + (
-        cq[np.abs(m - k)] - cq[m + k]
-    )
+def fourth_order_entries(cp, cq, mk) -> np.ndarray:
+    """Entries <(2 (p y')' + q y) s_m, s_k>, without the (pi m)^4 diagonal,
+    from the pairs (c_|m-k|, c_{m+k}) of p and of q and the product m k."""
+    (pt, ph), (qt, qh) = cp, cq
+    return -2.0 * np.pi**2 * mk * (pt + ph) + (qt - qh)
 
 
-def assemble_h2_plus_Q(p: Coefficient, Q: Coefficient, n: int, n_pad: int) -> GalerkinMatrix:
-    """Square of the second-order operator plus multiplication by Q.
-
-    The square is formed in the eigenbasis of the padded second-order
-    section rather than by squaring the truncated matrix: the square of a
-    truncation differs from the truncation of the square by a tail term,
-    and padding n_pad >= 2 n pushes that term below solver noise.
-    """
-    if n < 1:
-        raise ValueError("basis size must be at least 1")
-    if n_pad < 2 * n:
-        raise ValueError("padding must satisfy n_pad >= 2 n")
-    alpha, basis = graded_eigh(assemble_h(p, n_pad).a)
-    mq = multiplication_matrix(Q, n_pad)
-    lead = basis[:, :n]
-    a = np.diag(alpha[:n] ** 2) + lead.T @ mq @ lead
-    a = 0.5 * (a + a.T)
+def assemble_h2_plus_Q(p: Coefficient, Q: Coefficient, n: int) -> GalerkinMatrix:
+    """Square of the second-order operator plus Q, as H(p, p'' + p^2 + Q)."""
+    a = assemble_H(p, p.derivative(2) + p * p + Q, n).a
     return GalerkinMatrix(a=a, kind=KIND_SQUARE_PLUS_Q)
 
 
@@ -176,4 +160,4 @@ def assemble_spec(spec: OperatorSpec, n: int) -> GalerkinMatrix:
         return assemble_h(p, n)
     if spec.kind == KIND_FOURTH_ORDER:
         return assemble_H(p, q + Q, n)
-    return assemble_h2_plus_Q(p, Q, n, 2 * n)
+    return assemble_h2_plus_Q(p, Q, n)

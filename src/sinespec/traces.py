@@ -188,41 +188,18 @@ def _endpoint_tail(g: Coefficient, k: int) -> float:
     return ((fg.end0 + fg.end1) / 4.0 - fg.mean / 2.0) - float(_even_cosines(g, k).sum())
 
 
-def _second_order_residual(p: Coefficient, q: Coefficient, n: int) -> float:
-    """n^2 times what perturbation theory to second order leaves of the
-    n-th TRF3 summand once its leading model -c_2n(V) is taken off.
+@functools.lru_cache(maxsize=256)
+def _second_order_constant(p: Coefficient, q: Coefficient) -> float:
+    """C in the TRF3 summand law -c_2n(V) + C/n^2, from the Galerkin entries.
 
     The constant parts of p and q are diagonal in the sine basis, so they
     go into the unperturbed operator, with eigenvalues d_m = (pi m)^4 -
     2 p0 (pi m)^2 + q0; the summand's counterterms remove them.  The
     mean-free rest couples mode n to the modes m <= 8n through the
     assemble_H entries E_mn: first order adds E_nn, second order the sum
-    of E_mn^2 / (d_n - d_m).  What is left is C/n^2 + O(1/n^4).
-    """
-    m_max = 8 * n
-    cp = p.cosine_coeffs(m_max + n)
-    cq = q.cosine_coeffs(m_max + n)
-    p0 = cp[0]
-    cp[0] = cq[0] = 0.0
-    m = np.arange(1, m_max + 1)
-    row = fourth_order_entries(cp, cq, m, n)
-    # d_n - d_m in factored form: the difference of quartics would cancel
-    gaps = np.pi**2 * (n * n - m * m) * (np.pi**2 * (n * n + m * m) - 2.0 * p0)
-    off = m != n
-    second = np.sum(row[off] ** 2 / gaps[off])
-    vhat = build_V(p, q).cosine_coeffs(2 * n)[2 * n]
-    # P - p0^2 taken as P of p - p0, where no cancellation can occur
-    first = row[n - 1] + 0.5 * big_P(p - Coefficient.constant(p0)) + vhat
-    return float(n * n * (first + second))
-
-
-@functools.lru_cache(maxsize=256)
-def _second_order_constant(p: Coefficient, q: Coefficient) -> float:
-    """C in the TRF3 summand law -c_2n(V) + C/n^2, from the Galerkin entries.
-
-    Second-order perturbation theory about the constant-coefficient
-    operator, evaluated at n = 128 and 256 and extrapolated past its
-    O(1/n^2) approach.  For cosine-only p and q it equals
+    of E_mn^2 / (d_n - d_m).  n^2 times what this leaves of the n-th
+    summand, once -c_2n(V) is taken off, is C + O(1/n^2); it is evaluated
+    at n = 128 and 256 and extrapolated.  For cosine-only p and q, C equals
     -(3 int p'^2 + 4 int (p - p0) (q - p0 (p - p0))) / (8 pi^2); sine
     amplitudes change C in ways this closed form does not follow.
     Third-order terms, which also scale as 1/n^2, are not included.  For a
@@ -231,7 +208,25 @@ def _second_order_constant(p: Coefficient, q: Coefficient) -> float:
     """
     if p.is_constant():
         return 0.0
-    return (4.0 * _second_order_residual(p, q, 256) - _second_order_residual(p, q, 128)) / 3.0
+    # built once for n = 256: cosine tables are prefix-stable, so n = 128
+    # reads their leading part
+    cp, cq = p.cosine_coeffs(9 * 256), q.cosine_coeffs(9 * 256)
+    cv = build_V(p, q).cosine_coeffs(2 * 256)
+    p0 = cp[0]
+    # P - p0^2 taken as P of p - p0, where no cancellation can occur
+    half_p = 0.5 * big_P(p - Coefficient.constant(p0))
+    cp[0] = cq[0] = 0.0
+    residual = {}
+    for n in (128, 256):
+        m = np.arange(1, 8 * n + 1)
+        near, far = np.abs(m - n), m + n
+        row = fourth_order_entries((cp[near], cp[far]), (cq[near], cq[far]), m * n)
+        # d_n - d_m in factored form: the difference of quartics would cancel
+        gaps = np.pi**2 * (n * n - m * m) * (np.pi**2 * (n * n + m * m) - 2.0 * p0)
+        off = m != n
+        second = np.sum(row[off] ** 2 / gaps[off])
+        residual[n] = n * n * (row[n - 1] + half_p + cv[2 * n] + second)
+    return float((4.0 * residual[256] - residual[128]) / 3.0)
 
 
 @dataclass(frozen=True)

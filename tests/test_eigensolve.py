@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from conftest import coefficients, random_symmetric
 from reference_eigensolvers import jacobi_eigenvalues, tridiag_eigenvalues, tridiagonalize
+from reference_square import graded_eigh
 from sinespec import (
     Coefficient,
     CoefficientSet,
@@ -22,7 +23,7 @@ from sinespec import (
     ZERO,
     assemble_h,
     dispute,
-    graded_eigh,
+    factored_eigvalsh,
     graded_eigvalsh,
     multiplication_matrix,
     spectrum,
@@ -200,6 +201,37 @@ def test_spectrum_cross_path_fourth_order_vs_square():
     nu = spectrum(OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=Q), 64)
     keep = 32
     assert np.max(np.abs(mu.vals[:keep] - nu.vals[:keep])) < 1e-5
+
+
+def test_h2_plus_Q_trust_horizon_with_constant_Q():
+    # a constant Q shifts every eigenvalue by Q; the padded construction
+    # missed the lowest one by 1.4e-4 in its 2N solve and trusted none
+    p = Coefficient(u=(0.0, 1.0, 1.5, 1.75), w=(1.0, 1.1796875))
+    plain = spectrum(OperatorSpec(KIND_SQUARE_PLUS_Q, p=p), 256)
+    shifted = spectrum(OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=Coefficient.constant(1.0)), 256)
+    assert shifted.n_trusted == 256
+    assert abs(shifted.vals[0] - (plain.vals[0] + 1.0)) <= 1e-9
+
+
+def test_h2_plus_Q_low_eigenvalues_do_not_depend_on_the_basis_size():
+    spec = OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=Coefficient.harmonic_sin(2))
+    nu256 = spectrum(spec, 256).vals[:64]
+    nu512 = spectrum(spec, 512).vals[:64]
+    assert np.max(np.abs(nu256 - nu512) / np.abs(nu256)) <= 1e-12
+
+
+@given(st.integers(2, 40), st.integers(0, 2**31 - 1))
+@settings(max_examples=20)
+def test_factored_solve_matches_jacobi_to_relative_accuracy(n, seed):
+    # on a graded matrix cyclic Jacobi keeps each eigenvalue to a few eps
+    # of itself (measured <= 4.2e-15), where graded_eigvalsh misses the
+    # low ones by up to 1e-10 of themselves at n = 27
+    a = random_symmetric(np.random.default_rng(seed), n) + np.diag((PI * np.arange(1, n + 1)) ** 4)
+    sigma = 1.0 + max(0.0, -float(np.linalg.eigvalsh(a)[0]))
+    got = factored_eigvalsh(a, sigma)
+    jac = jacobi_eigenvalues(a)
+    assert np.all(np.diff(got) >= 0.0)
+    assert np.max(np.abs(got - jac) / np.abs(jac)) <= 1e-13
 
 
 def test_spectrum_rejects_tiny_basis():

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from conftest import coefficients
+from reference_square import padded_h2_plus_Q, padded_spectrum
 from sinespec import (
     Coefficient,
     KIND_FOURTH_ORDER,
@@ -120,16 +121,50 @@ def test_multiplication_matrix_equals_direct_indexing_bit_for_bit(f, n):
     assert assemble_h(f, n).a.tobytes() == h.tobytes()
 
 
-# -- squared operator plus Q ------------------------------------------------------
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 129, 512])
+@given(p=coefficients(max_degree=5), q=coefficients(max_degree=5))
+@settings(max_examples=5)
+def test_H_equals_direct_indexing_bit_for_bit(p, q, n):
+    # the entries <(2 (p y')' + q y) s_m, s_k> gathered through index arrays
+    cp, cq = p.cosine_coeffs(2 * n), q.cosine_coeffs(2 * n)
+    idx = np.arange(1, n + 1)
+    m, k = idx[:, None], idx[None, :]
+    direct = -2.0 * np.pi**2 * (m * k) * (cp[np.abs(m - k)] + cp[m + k]) + (
+        cq[np.abs(m - k)] - cq[m + k]
+    )
+    direct[np.diag_indices(n)] += (np.pi * idx) ** 4
+    a = assemble_H(p, q, n).a
+    assert a.shape == (n, n) and a.flags.c_contiguous
+    assert a.tobytes() == direct.tobytes()
+
+
+@given(p=coefficients(max_degree=5), Q=coefficients(max_degree=5))
+@settings(max_examples=10)
+def test_h2_plus_Q_is_H_at_p2_plus_p_squared_plus_Q_bit_for_bit(p, Q):
+    # (-D^2 - p)^2 = D^4 + 2 D p D + (p'' + p^2) on the domain y = y'' = 0
+    got = assemble_h2_plus_Q(p, Q, 24)
+    assert got.kind == KIND_SQUARE_PLUS_Q
+    assert got.a.tobytes() == assemble_H(p, p.derivative(2) + p * p + Q, 24).a.tobytes()
+
+
+def test_h2_plus_Q_spectrum_matches_the_padded_oracle():
+    n, keep = 64, 32
+    nu = spectrum(OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2), n)
+    padded, padded_est = padded_spectrum(COS2, SIN2, n)
+    diff = np.abs(nu.vals[:keep] - padded[:keep])
+    assert np.all(diff <= 10.0 * (nu.est_abs_err[:keep] + padded_est[:keep]) + 1e-9)
+
+
+# -- squared operator plus Q: the padded eigenbasis oracle --------------------------
 
 
 def test_h2_zero_everything_is_diagonal():
-    a = assemble_h2_plus_Q(ZERO, ZERO, 4, 8).a
+    a = padded_h2_plus_Q(ZERO, ZERO, 4, 8).a
     assert np.allclose(a, np.diag([(PI * n) ** 4 for n in range(1, 5)]), rtol=1e-12)
 
 
 def test_h2_constant_p():
-    a = assemble_h2_plus_Q(Coefficient.constant(2.0), ZERO, 4, 8).a
+    a = padded_h2_plus_Q(Coefficient.constant(2.0), ZERO, 4, 8).a
     diag = [((PI * n) ** 2 - 2.0) ** 2 for n in range(1, 5)]
     assert np.allclose(np.sort(np.diag(a)), np.sort(diag), rtol=1e-12)
     off = a - np.diag(np.diag(a))
@@ -138,14 +173,14 @@ def test_h2_constant_p():
 
 def test_h2_with_zero_Q_matches_squared_second_order():
     n, pad = 16, 32
-    vals = graded_eigvalsh(assemble_h2_plus_Q(COS2, ZERO, n, pad).a)
+    vals = graded_eigvalsh(padded_h2_plus_Q(COS2, ZERO, n, pad).a)
     alpha = graded_eigvalsh(assemble_h(COS2, pad).a)
     assert np.allclose(vals, alpha[:n] ** 2, rtol=1e-12, atol=1e-9)
 
 
 def test_h2_rejects_insufficient_padding():
     with pytest.raises(ValueError):
-        assemble_h2_plus_Q(ZERO, ZERO, 8, 12)
+        padded_h2_plus_Q(ZERO, ZERO, 8, 12)
 
 
 def test_cross_path_identity_fourth_order_vs_squared():
@@ -154,7 +189,7 @@ def test_cross_path_identity_fourth_order_vs_squared():
     q = SIN2
     via_H = graded_eigvalsh(assemble_H(COS2, q, n).a)
     Q = q - COS2.derivative(2) - COS2 * COS2
-    via_square = graded_eigvalsh(assemble_h2_plus_Q(COS2, Q, n, 2 * n).a)
+    via_square = graded_eigvalsh(padded_h2_plus_Q(COS2, Q, n, 2 * n).a)
     keep = n // 2
     assert np.max(np.abs(via_H[:keep] - via_square[:keep])) < 1e-5
 
@@ -175,10 +210,10 @@ def test_spec_shift_matches_explicit_shift():
     assert np.max(np.abs(shifted - explicit)) < 1e-12
 
 
-def test_spec_square_plus_q_with_zero_Q_squares_second_order():
-    vals = graded_eigvalsh(assemble_spec(OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2), 16).a)
-    alpha = graded_eigvalsh(assemble_h(COS2, 32).a)
-    assert np.allclose(vals, alpha[:16] ** 2, rtol=1e-12, atol=1e-9)
+def test_spec_square_plus_q_with_zero_Q_is_H_at_p2_plus_p_squared_bit_for_bit():
+    got = assemble_spec(OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2), 16)
+    assert got.kind == KIND_SQUARE_PLUS_Q
+    assert got.a.tobytes() == assemble_H(COS2, COS2.derivative(2) + COS2 * COS2, 16).a.tobytes()
 
 
 def test_spec_fourth_order_adds_q_and_Q():

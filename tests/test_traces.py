@@ -545,9 +545,10 @@ def _halved(f):
 
 def _fourier_gap_ratio(formula, cs, tau=0.0):
     # An input whose spectra the library refuses to sum (trust horizon
-    # below K) has no gap to check.  It happens on the h^2+Q path, whose
-    # 2N solve carries rounding of 1e-4 at the lowest eigenvalue for some
-    # p (ROADMAP item 3), and is not what these tests are about.
+    # below K) has no gap to check, and is not what these tests are about.
+    # The one such input seen, on COR1, came from the rounding of the
+    # padded h^2+Q construction, which the factored solve of H(p, p''+p^2+Q)
+    # removed; the horizon is still the N -> 2N change (ROADMAP item 3).
     try:
         rep = verify(formula, cs, n=256, k=64, mode="fourier", tau=tau)
     except PreconditionError as exc:
