@@ -13,7 +13,6 @@ from .operators import (
     KIND_FOURTH_ORDER,
     KIND_SECOND_ORDER,
     KIND_SQUARE_PLUS_Q,
-    GalerkinMatrix,
     OperatorSpec,
     assemble_H,
     assemble_h,
@@ -53,7 +52,6 @@ __all__ = [
     "PreconditionError",
     "NumericError",
     "CoefficientFileError",
-    "GalerkinMatrix",
     "OperatorSpec",
     "KIND_SECOND_ORDER",
     "KIND_FOURTH_ORDER",

@@ -11,8 +11,10 @@ files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from enum import Enum
 
 import numpy as np
 
@@ -109,30 +111,40 @@ def _operator_spec(args: argparse.Namespace, kind: str) -> OperatorSpec:
     return OperatorSpec(kind, p=cs.p, q=cs.q, Q=cs.Q, tau=getattr(args, "tau", 0.0))
 
 
-def _write_report(args: argparse.Namespace, payload: dict, header=None, rows=None) -> None:
-    """Write the report to --out: CSV where the command takes ``--format csv``, else JSON."""
+def _json_value(v):
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    return v
+
+
+def _write_report(args: argparse.Namespace, report, header=None, rows=None) -> None:
+    """Write the report to --out: CSV where the command takes ``--format csv``, else
+    JSON.  A report dataclass is written as its fields, in field order, with
+    enums as their values and arrays as lists; a dict is written as it is."""
     if not args.out:
         return
     if getattr(args, "format", "json") == "csv":
         _write_text(args.out, _csv(rows, header))
-    else:
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        return
+    if dataclasses.is_dataclass(report):
+        report = {f.name: _json_value(getattr(report, f.name)) for f in dataclasses.fields(report)}
+    _write_text(args.out, json.dumps(report, indent=2) + "\n")
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     spec = _operator_spec(args, _KIND_FLAGS[args.kind])
     if args.dump_matrix:
-        a = assemble_spec(spec, args.n_basis).a
+        a = assemble_spec(spec, args.n_basis)
         _write_text(
             args.dump_matrix,
             "\n".join(",".join(_fmt(v) for v in row) for row in a) + "\n",
         )
     s = spectrum(spec, args.n_basis)
     vals, errs = s.vals.tolist(), s.est_abs_err.tolist()
-    payload = {"kind": s.kind, "basis_n": s.basis_n, "n_trusted": s.n_trusted,
-               "vals": vals, "est_abs_err": errs}
     rows = [(i + 1, vals[i], errs[i], int(i < s.n_trusted)) for i in range(s.basis_n)]
-    _write_report(args, payload, ["n", "value", "est_abs_err", "trusted"], rows)
+    _write_report(args, s, ["n", "value", "est_abs_err", "trusted"], rows)
     print(f"kind={s.kind} basis={s.basis_n} n_trusted={s.n_trusted}")
     return EXIT_OK
 
@@ -150,9 +162,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
     tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES[formula]
     ok = abs(report.gap) <= tol
-    _write_report(
-        args, report.to_dict(), ["K", "S_K", "accelerated", "rhs", "gap"], report.csv_rows()
-    )
+    rows = [(i, s, report.accelerated, report.rhs, report.gap)
+            for i, s in enumerate(report.partial, start=1)]
+    _write_report(args, report, ["K", "S_K", "accelerated", "rhs", "gap"], rows)
     print(
         f"formula={formula.value} gap={_fmt(report.gap)} tol={tol:g} "
         + ("PASS" if ok else "FAIL")
@@ -169,7 +181,7 @@ def cmd_dispute(args: argparse.Namespace) -> int:
         k=args.k_trunc,
         tol=args.tol if args.tol is not None else 1e-2,
     )
-    _write_report(args, report.to_dict())
+    _write_report(args, report)
     print(
         f"dispute={report.variant.value} verdict={report.verdict} "
         f"computed={_fmt(report.computed_lhs)} variant_rhs={_fmt(report.variant_rhs)} "
@@ -183,7 +195,7 @@ def cmd_asym(args: argparse.Namespace) -> int:
         _operator_spec(args, KIND_FOURTH_ORDER), n=args.n_basis, k=args.k_trunc
     )
     rows = [(i + 1, float(r), float((i + 1) ** 2 * abs(r))) for i, r in enumerate(report.residuals)]
-    _write_report(args, report.to_dict(), ["n", "residual", "n2_abs_residual"], rows)
+    _write_report(args, report, ["n", "residual", "n2_abs_residual"], rows)
     print(
         f"fitted_C={_fmt(report.fitted_c)} over n in [{report.fit_lo}, {report.fit_hi}] "
         f"basis={report.basis_n}"
@@ -193,7 +205,7 @@ def cmd_asym(args: argparse.Namespace) -> int:
 
 def cmd_localize(args: argparse.Namespace) -> int:
     report = localization(spectrum(_operator_spec(args, _KIND_FLAGS[args.kind]), args.n_basis))
-    _write_report(args, report.to_dict())
+    _write_report(args, report)
     print(
         f"n0={report.n0} violations={len(report.violations)} horizon={report.horizon}"
     )
@@ -285,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("trace", cmd_trace, "verify one trace identity", *_SHARED)
     p.add_argument("--formula", required=True, choices=[f.value for f in FormulaId])
-    p.add_argument("--center-q", dest="center_q", action="store_true", help="subtract the mean of q before verifying")
+    p.add_argument("--center-q", dest="center_q", action="store_true", help="subtract the mean of q before verifying (formulas that require a zero-mean q)")
 
     p = command("dispute", cmd_dispute, "adjudicate a historical formula",
                 "--p", "--q", "-N", "-K", "--out", "--tol")

@@ -63,10 +63,6 @@ class Coefficient:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Coefficient":
-        return cls()
-
-    @classmethod
     def constant(cls, c: float) -> "Coefficient":
         return cls(u=(float(c),))
 

@@ -8,9 +8,11 @@ factored ``linalg.factored_eigvalsh``: its h^2 section is the Gram matrix
 1 + sum |u_j| + sum |w_j| of Q makes it positive definite.  On H the
 factored solve would triple the sweep time for no gain in the gaps.
 
-``spectrum`` is memoized per process by value: equal ``(OperatorSpec, n)``
-keys, even when built from separate objects, share one solve, and the 64
-most recently used results are kept.  The arrays of a returned
+``spectrum`` assembles once, at 2n, and solves that matrix and its
+leading n x n block, which equals the assembly at n bit for bit (see
+``operators``).  It is memoized per process by value: equal
+``(OperatorSpec, n)`` keys, even when built from separate objects, share
+one solve, and the 64 most recently used results are kept.  The arrays of a returned
 ``Spectrum`` are read-only, so no caller can change a cached result;
 ``spectrum.cache_clear()`` empties the cache.
 """
@@ -48,17 +50,18 @@ class Spectrum:
     the trust horizon.
     """
 
+    kind: str
+    basis_n: int
+    n_trusted: int
     vals: np.ndarray
     est_abs_err: np.ndarray
-    n_trusted: int
-    basis_n: int
-    kind: str
 
     def val(self, n: int) -> float:
         """Eigenvalue by 1-based index."""
         return float(self.vals[n - 1])
 
     def require_trusted(self, n: int) -> None:
+        """Refuse an index, or a truncation K, outside 1..n_trusted."""
         if not 1 <= n <= self.n_trusted:
             raise PreconditionError(
                 f"eigenvalue index {n} is beyond the trust horizon {self.n_trusted}"
@@ -72,25 +75,20 @@ def trust_scale(kind: str, n):
 
 @functools.lru_cache(maxsize=64)
 def spectrum(spec: OperatorSpec, n: int) -> Spectrum:
-    """Solve at sizes n and 2n; annotate the size-n values with estimates."""
+    """Solve at sizes n and 2n, from one assembly at 2n; annotate the size-n
+    values with estimates."""
     if n < 8:
         raise PreconditionError("basis size must be at least 8")
-    coarse = assemble_spec(spec, n)
     fine = assemble_spec(spec, 2 * n)
+    coarse = fine[:n, :n]
     if spec.kind == KIND_SQUARE_PLUS_Q:
         sigma = 1.0 + sum(abs(x) for x in spec.Q.u + spec.Q.w)
-        vals, vals_fine = (factored_eigvalsh(m.a, sigma) for m in (coarse, fine))
+        vals, vals_fine = (factored_eigvalsh(a, sigma) for a in (coarse, fine))
     else:
-        vals, vals_fine = graded_eigvalsh(coarse.a), graded_eigvalsh(fine.a)
+        vals, vals_fine = graded_eigvalsh(coarse), graded_eigvalsh(fine)
     est = np.abs(vals - vals_fine[:n])
-    ok = est <= TRUST_TOL_DEFAULT * trust_scale(coarse.kind, np.arange(1, n + 1))
+    ok = est <= TRUST_TOL_DEFAULT * trust_scale(spec.kind, np.arange(1, n + 1))
     n_trusted = n if bool(ok.all()) else int(np.argmin(ok))
     vals.flags.writeable = False
     est.flags.writeable = False
-    return Spectrum(
-        vals=vals,
-        est_abs_err=est,
-        n_trusted=n_trusted,
-        basis_n=n,
-        kind=coarse.kind,
-    )
+    return Spectrum(kind=spec.kind, basis_n=n, n_trusted=n_trusted, vals=vals, est_abs_err=est)

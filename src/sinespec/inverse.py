@@ -164,31 +164,28 @@ def sweep(
     )
 
 
-def recover_V(sr: SweepResult, p0: float | None = None, p_l2sq: float | None = None) -> np.ndarray:
+def recover_V(sr: SweepResult) -> np.ndarray:
     """Pointwise V(tau) from the accelerated sums.
 
-    Only the two scalars p0 and int p^2 are consumed; they default to the
-    template's values but may be supplied directly, matching the setting
-    where spectra and those scalars are the known data.
+    Of p only the two scalars p0 and int p^2 are consumed, read from the
+    template.
     """
     if sr.target not in ("V", "q"):
         raise PreconditionError("recover_V needs a sweep with target 'V' or 'q'")
     fp = sr.template.p.functionals()
-    p0 = fp.mean if p0 is None else float(p0)
-    big = fp.l2sq if p_l2sq is None else float(p_l2sq)
+    p0, big = fp.mean, fp.l2sq
     vals = -2.0 * sr.accelerated - 0.5 * (big - p0 * p0)
     sr.recovered = np.column_stack([sr.taus, vals])
     sr.recovered_wrap = float(-2.0 * sr.wrap_accelerated - 0.5 * (big - p0 * p0))
     return sr.recovered
 
 
-def recover_q(sr: SweepResult, p: Coefficient | None = None) -> np.ndarray:
-    """Pointwise q(tau) = V(tau) + p''(tau)/2 for known p."""
+def recover_q(sr: SweepResult) -> np.ndarray:
+    """Pointwise q(tau) = V(tau) + p''(tau)/2, with p the template's."""
     if sr.target not in ("V", "q"):
         raise PreconditionError("recover_q needs a sweep with target 'V' or 'q'")
-    p = sr.template.p if p is None else p
     recover_V(sr)
-    half_second = p.derivative(2).scale(0.5)
+    half_second = sr.template.p.derivative(2).scale(0.5)
     vals = sr.recovered[:, 1] + half_second.evaluate(sr.taus)
     sr.recovered = np.column_stack([sr.taus, vals])
     sr.recovered_wrap = sr.recovered_wrap + half_second.evaluate(1.0)

@@ -8,11 +8,18 @@ entries are closed forms:
     <f s_m, s_n>           = c_|m-n|(f) - c_{m+n}(f)
     <2 (f y')' s_m, s_n>   = -2 pi^2 m n (c_|m-n|(f) + c_{m+n}(f))
 
-Assembled matrices are exactly symmetric entry-by-entry because each
-entry is built from index-symmetric expressions; c_|m-n| and c_{m+n} are
-strided Toeplitz and Hankel views of one cosine table.  Where y = y'' = 0
-at both endpoints, (-D^2 - p)^2 y = y'''' + 2 (p y')' + (p'' + p^2) y, so
-h^2 + Q is assembled as H(p, p'' + p^2 + Q).
+Each assembler returns the dense symmetric array of its finite section,
+exactly symmetric entry-by-entry because each entry is built from
+index-symmetric expressions; c_|m-n| and c_{m+n} are strided Toeplitz and
+Hankel views of one cosine table.  Cosine tables are prefix-stable, so the
+leading n x n block of an assembly at 2n equals the assembly at n bit for
+bit.
+
+Where y = y'' = 0 at both endpoints, (-D^2 - p)^2 y = y'''' + 2 (p y')' +
+(p'' + p^2) y, so every fourth-order spectrum is that of some H(p, q_eff).
+``OperatorSpec.fourth_order_q`` is the one statement of q_eff: q + Q for
+H+Q; p'' + p^2 + Q for h^2+Q, which is assembled as that H; and
+p'' + p^2 for h, the form of h^2.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ __all__ = [
     "KIND_FOURTH_ORDER",
     "KIND_SQUARE_PLUS_Q",
     "KINDS",
-    "GalerkinMatrix",
     "OperatorSpec",
     "multiplication_matrix",
     "assemble_h",
@@ -52,14 +58,6 @@ _READS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class GalerkinMatrix:
-    """Dense symmetric finite section of an operator in the sine basis."""
-
-    a: np.ndarray
-    kind: str
-
-
 def _toeplitz_hankel(f: Coefficient, n: int):
     """Strided views (c_|m-k|, c_{m+k}) of f's cosine table, m, k = 1..n."""
     c = f.cosine_coeffs(2 * n)
@@ -78,7 +76,7 @@ def multiplication_matrix(f: Coefficient, n: int) -> np.ndarray:
     return toeplitz - hankel
 
 
-def assemble_h(p: Coefficient, n: int) -> GalerkinMatrix:
+def assemble_h(p: Coefficient, n: int) -> np.ndarray:
     """Second-order operator -y'' - p y with y(0) = y(1) = 0."""
     if n < 1:
         raise ValueError("basis size must be at least 1")
@@ -86,10 +84,10 @@ def assemble_h(p: Coefficient, n: int) -> GalerkinMatrix:
     np.negative(a, out=a)
     idx = np.arange(1, n + 1)
     a[np.diag_indices(n)] += (np.pi * idx) ** 2
-    return GalerkinMatrix(a=a, kind=KIND_SECOND_ORDER)
+    return a
 
 
-def assemble_H(p: Coefficient, q: Coefficient, n: int) -> GalerkinMatrix:
+def assemble_H(p: Coefficient, q: Coefficient, n: int) -> np.ndarray:
     """Fourth-order operator y'''' + 2 (p y')' + q y with y = y'' = 0 at 0, 1."""
     if n < 1:
         raise ValueError("basis size must be at least 1")
@@ -97,7 +95,7 @@ def assemble_H(p: Coefficient, q: Coefficient, n: int) -> GalerkinMatrix:
     mk = np.multiply.outer(idx, idx)
     a = fourth_order_entries(_toeplitz_hankel(p, n), _toeplitz_hankel(q, n), mk)
     a[np.diag_indices(n)] += (np.pi * idx) ** 4
-    return GalerkinMatrix(a=a, kind=KIND_FOURTH_ORDER)
+    return a
 
 
 def fourth_order_entries(cp, cq, mk) -> np.ndarray:
@@ -107,10 +105,9 @@ def fourth_order_entries(cp, cq, mk) -> np.ndarray:
     return -2.0 * np.pi**2 * mk * (pt + ph) + (qt - qh)
 
 
-def assemble_h2_plus_Q(p: Coefficient, Q: Coefficient, n: int) -> GalerkinMatrix:
+def assemble_h2_plus_Q(p: Coefficient, Q: Coefficient, n: int) -> np.ndarray:
     """Square of the second-order operator plus Q, as H(p, p'' + p^2 + Q)."""
-    a = assemble_H(p, p.derivative(2) + p * p + Q, n).a
-    return GalerkinMatrix(a=a, kind=KIND_SQUARE_PLUS_Q)
+    return assemble_H(p, OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=Q).fourth_order_q(), n)
 
 
 @dataclass(frozen=True)
@@ -152,12 +149,22 @@ class OperatorSpec:
             self.Q.shift(self.tau),
         )
 
+    def fourth_order_q(self) -> Coefficient:
+        """q_eff of the fourth-order form H(p, q_eff) of this kind at its
+        shift: q + Q for H+Q, p'' + p^2 + Q for h^2+Q, and p'' + p^2 for h,
+        the form of h^2."""
+        p, q, Q = self.shifted_coefficients()
+        if self.kind == KIND_FOURTH_ORDER:
+            return q + Q
+        square = p.derivative(2) + p * p
+        return square if self.kind == KIND_SECOND_ORDER else square + Q
 
-def assemble_spec(spec: OperatorSpec, n: int) -> GalerkinMatrix:
+
+def assemble_spec(spec: OperatorSpec, n: int) -> np.ndarray:
     """Shift the coefficients, then dispatch to the matching assembler."""
-    p, q, Q = spec.shifted_coefficients()
+    p, _, Q = spec.shifted_coefficients()
     if spec.kind == KIND_SECOND_ORDER:
         return assemble_h(p, n)
-    if spec.kind == KIND_FOURTH_ORDER:
-        return assemble_H(p, q + Q, n)
-    return assemble_h2_plus_Q(p, Q, n)
+    if spec.kind == KIND_SQUARE_PLUS_Q:
+        return assemble_h2_plus_Q(p, Q, n)
+    return assemble_H(p, spec.fourth_order_q(), n)

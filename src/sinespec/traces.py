@@ -18,13 +18,15 @@ nu = squared-second-order plus Q):
     IP2   sum(nu_n(tau) - alpha_n(tau)^2)               = -Q(tau)/2
 
 The eight fourth-order identities are one: TRF3 of an effective q.
-Each spectrum they read is that of H(p, q_eff) on the same domain,
+Each role names the ``OperatorSpec`` whose spectrum it reads, and that
+spectrum is the one of H(p, q_eff), with q_eff the spec's
+``fourth_order_q`` (see ``operators``):
 
-    role   spectrum   q_eff
-    mu     mu_n       q
-    lam    lambda_n   q + Q
-    alpha  alpha_n^2  p'' + p^2         (h^2 = H(p, p'' + p^2))
-    nu     nu_n       p'' + p^2 + Q
+    role   spec    spectrum   q_eff
+    mu     H       mu_n       q
+    lam    H+Q     lambda_n   q + Q
+    alpha  h       alpha_n^2  p'' + p^2         (h^2 = H(p, p'' + p^2))
+    nu     h^2+Q   nu_n       p'' + p^2 + Q
 
 and each identity is a signed sum of TRF3 identities, with q_eff - q0
 for q (q0 = int q_eff shifts every eigenvalue by q0):
@@ -77,6 +79,7 @@ __all__ = [
     "LocalizationReport",
     "DEFAULT_TOLERANCES",
     "MEAN_TOL",
+    "FIT_LO",
     "check_basis_size",
     "check_preconditions",
     "spectra_for",
@@ -91,6 +94,8 @@ __all__ = [
 ]
 
 MEAN_TOL = 1e-10
+# first index of the C/n^2 fits of asym_residuals and the Sadovnichii comparison
+FIT_LO = 8
 
 
 class FormulaId(str, Enum):
@@ -123,7 +128,7 @@ class CoefficientSet:
 
 
 # Spectrum roles: the operator kind whose eigenvalues a role names, and the
-# coefficients that operator takes.
+# coefficients that operator takes (see _role_spec).
 ROLES = {
     "alpha": (KIND_SECOND_ORDER, ("p",)),
     "mu": (KIND_FOURTH_ORDER, ("p", "q")),
@@ -149,21 +154,18 @@ def _expanded(x, p0: float, z2):
     return x - z2 * z2 + 2.0 * p0 * z2
 
 
-# The effective q of each role: its spectrum is that of H(p, q_eff), with
-# alpha read as alpha^2 (h^2 = H(p, p'' + p^2) on the same domain).
-_EFFECTIVE_Q = {
-    "alpha": lambda cs: cs.p.derivative(2) + cs.p * cs.p,
-    "mu": lambda cs: cs.q,
-    "lam": lambda cs: cs.q + cs.Q,
-    "nu": lambda cs: cs.p.derivative(2) + cs.p * cs.p + cs.Q,
-}
+def _role_spec(role: str, cs: CoefficientSet, tau: float = 0.0) -> OperatorSpec:
+    """The operator whose spectrum ``role`` reads, from the coefficients it takes."""
+    kind, names = ROLES[role]
+    return OperatorSpec(kind, tau=tau, **{name: getattr(cs, name) for name in names})
 
 
 @functools.lru_cache(maxsize=256)
 def _effective_q(role: str, cs: CoefficientSet) -> tuple:
-    """(q_eff - mean(q_eff), mean(q_eff)) of a role; the mean only shifts
-    every eigenvalue.  Memoized by value, like ``spectrum``."""
-    q = _EFFECTIVE_Q[role](cs)
+    """(q_eff - mean(q_eff), mean(q_eff)) of a role, q_eff being its spec's
+    ``fourth_order_q``; the mean only shifts every eigenvalue.  Memoized
+    by value, like ``spectrum``."""
+    q = _role_spec(role, cs).fourth_order_q()
     q0 = q.functionals().mean
     return q - Coefficient.constant(q0), q0
 
@@ -234,7 +236,7 @@ class Formula:
     """One trace identity: TRF3 applied to a signed sum of spectra.
 
     ``terms``: (role, sign) pairs, each role read as the spectrum of
-    H(p, q_eff) (see ``_EFFECTIVE_Q``); the first role is the one a sweep
+    H(p, q_eff) (see ``_role_spec``); the first role is the one a sweep
     tracks.  The signs sum to 1 (one TRF3 sum) or to 0 (a difference of
     two, whose p-only counterterms cancel).  ``tol``: the tolerance at
     the default sizes.  ``hypotheses``: (coefficient, hypothesis) pairs.
@@ -349,12 +351,8 @@ def check_preconditions(formula: FormulaId, coeffs: CoefficientSet) -> None:
 
 def spectra_for(formula: FormulaId, coeffs: CoefficientSet, n: int, tau: float = 0.0):
     """Compute the spectra the formula's summand reads, keyed by role."""
-    spectra = {}
-    for role in FORMULAS[FormulaId(formula)].roles:
-        kind, names = ROLES[role]
-        args = {name: getattr(coeffs, name) for name in names}
-        spectra[role] = spectrum(OperatorSpec(kind, tau=tau, **args), n)
-    return spectra
+    return {role: spectrum(_role_spec(role, coeffs, tau), n)
+            for role in FORMULAS[FormulaId(formula)].roles}
 
 
 def _summands(formula: FormulaId, spectra, coeffs: CoefficientSet, k: int) -> np.ndarray:
@@ -378,11 +376,8 @@ def partial_sums(formula: FormulaId, spectra, coeffs: CoefficientSet, k: int) ->
     """Compensated prefix sums S_1..S_k of the regularized summands."""
     formula = FormulaId(formula)
     check_preconditions(formula, coeffs)
-    horizon = min(spec.n_trusted for spec in spectra.values())
-    if k > horizon:
-        raise PreconditionError(
-            f"truncation K={k} exceeds the trust horizon {horizon}"
-        )
+    for spec in spectra.values():
+        spec.require_trusted(k)
     return compensated_cumsum(_summands(formula, spectra, coeffs, k))
 
 
@@ -451,27 +446,6 @@ class TraceReport:
     tau: float = 0.0
     q0_shift: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "formula": self.formula.value,
-            "k_used": self.k_used,
-            "partial": list(self.partial),
-            "accelerated": self.accelerated,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "rate_exponent": self.rate_exponent,
-            "inputs_digest": self.inputs_digest,
-            "mode": self.mode,
-            "basis_n": self.basis_n,
-            "tau": self.tau,
-            "q0_shift": self.q0_shift,
-        }
-
-    def csv_rows(self):
-        """Rows (K, S_K, accelerated, rhs, gap) for the partial-sum export."""
-        for i, s in enumerate(self.partial, start=1):
-            yield (i, s, self.accelerated, self.rhs, self.gap)
-
 
 def _fit_rate(partial: np.ndarray, accelerated: float, k: int) -> float:
     ks = np.arange(1, k + 1, dtype=float)
@@ -496,14 +470,20 @@ def verify(
     """Full verification: spectra, partial sums, acceleration, gap, rate.
 
     ``center_q`` replaces q by q - q0 before checking hypotheses (the
-    eigenvalues shift by exactly -q0); the applied shift is recorded.
-    By default a nonzero-mean q is rejected where the identity demands a
-    zero mean.
+    eigenvalues shift by exactly -q0); the applied shift is recorded.  It
+    applies only where the identity demands a zero-mean q, and is refused
+    elsewhere.  By default a nonzero-mean q is rejected where the identity
+    demands a zero mean.
     """
     formula = FormulaId(formula)
     check_basis_size(n, k)
     q0_shift = 0.0
-    if center_q and ("q", "zero_mean") in FORMULAS[formula].hypotheses:
+    if center_q:
+        if ("q", "zero_mean") not in FORMULAS[formula].hypotheses:
+            raise PreconditionError(
+                f"centering q applies only to identities that require a zero-mean q; "
+                f"{formula.value} does not"
+            )
         q0 = coeffs.q.functionals().mean
         if q0 != 0.0:
             coeffs = replace(coeffs, q=coeffs.q - Coefficient.constant(q0))
@@ -542,52 +522,40 @@ class AsymptoticsReport:
 
     residuals: np.ndarray
     fitted_c: float
+    derived_c: float
     fit_lo: int
     fit_hi: int
     basis_n: int
-    derived_c: float
-
-    def to_dict(self) -> dict:
-        return {
-            "residuals": [float(r) for r in self.residuals],
-            "fitted_c": self.fitted_c,
-            "derived_c": self.derived_c,
-            "fit_lo": self.fit_lo,
-            "fit_hi": self.fit_hi,
-            "basis_n": self.basis_n,
-        }
 
 
-def asym_residuals(spec: OperatorSpec, n: int = 256, k: int = 64, fit_lo: int = 8) -> AsymptoticsReport:
+def asym_residuals(spec: OperatorSpec, n: int = 256, k: int = 64) -> AsymptoticsReport:
     """Residuals r_m = mu_m - [((pi m)^2-p0)^2 - (P+p0^2)/2 + q0 - Vhat_cm].
 
     Returns r_1..r_k together with ``fitted_c``, the mean of m^2 |r_m| over
-    m in [fit_lo, k]: the magnitude of C in r_m ~ C / m^2, without its
+    m in [FIT_LO, k]: the magnitude of C in r_m ~ C / m^2, without its
     sign (0.745 for p = cos 2 pi x), and ``derived_c``, the signed C that
     second-order perturbation theory derives for the shifted (p, q + Q)
     (-0.75 there).  The expansion holds when it is finite and stable
-    under refinement.  r_m is the TRF3 summand with q + Q in place of q,
-    plus the m-th even cosine of V.
+    under refinement.  r_m is the TRF3 summand with the spec's
+    ``fourth_order_q``, q + Q, in place of q, plus the m-th even cosine
+    of V.
     """
     if spec.kind != KIND_FOURTH_ORDER:
         raise PreconditionError("asymptotic residuals are defined for the fourth-order family")
     check_basis_size(n, k)
-    lo = max(1, fit_lo)
-    if k < lo:
-        raise PreconditionError(f"K={k} is below the fit start {lo}")
+    if k < FIT_LO:
+        raise PreconditionError(f"K={k} is below the fit start {FIT_LO}")
     s = spectrum(spec, n)
-    if k > s.n_trusted:
-        raise PreconditionError(f"K={k} exceeds the trust horizon {s.n_trusted}")
-    p, q, Q = spec.shifted_coefficients()
-    cs = CoefficientSet(p=p, q=q + Q)
+    s.require_trusted(k)
+    cs = CoefficientSet(p=spec.shifted_coefficients()[0], q=spec.fourth_order_q())
     ns = np.arange(1, k + 1, dtype=float)
     z2 = (np.pi * ns) ** 2
     trf3 = FORMULAS[FormulaId.TRF3]
-    r = trf3.summand({"mu": s.vals[:k]}, cs, z2) + _even_cosines(build_V(p, cs.q), k)
-    fitted = float(np.mean(ns[lo - 1 :] ** 2 * np.abs(r[lo - 1 :])))
+    r = trf3.summand({"mu": s.vals[:k]}, cs, z2) + _even_cosines(build_V(cs.p, cs.q), k)
+    fitted = float(np.mean(ns[FIT_LO - 1 :] ** 2 * np.abs(r[FIT_LO - 1 :])))
     return AsymptoticsReport(
-        residuals=r, fitted_c=fitted, fit_lo=lo, fit_hi=k, basis_n=n,
-        derived_c=_second_order_constant(p, cs.q),
+        residuals=r, fitted_c=fitted, derived_c=_second_order_constant(cs.p, cs.q),
+        fit_lo=FIT_LO, fit_hi=k, basis_n=n,
     )
 
 
@@ -606,14 +574,6 @@ class LocalizationReport:
     violations: tuple
     disc_count: int
     horizon: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n0": self.n0,
-            "violations": [list(v) for v in self.violations],
-            "disc_count": self.disc_count,
-            "horizon": self.horizon,
-        }
 
 
 def localization(spec: Spectrum) -> LocalizationReport:
@@ -676,17 +636,6 @@ class DisputeReport:
     disagreement: float
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant.value,
-            "computed_lhs": self.computed_lhs,
-            "variant_rhs": self.variant_rhs,
-            "reference_rhs": self.reference_rhs,
-            "verdict": self.verdict,
-            "disagreement": self.disagreement,
-            "tolerance": self.tolerance,
-        }
-
 
 def _verdict(lhs: float, variant_rhs: float, reference_rhs: float, tol: float) -> str:
     if abs(variant_rhs - reference_rhs) <= 10.0 * tol:
@@ -732,7 +681,8 @@ def dispute(
     else:
         if q is None:
             raise PreconditionError("the Sadovnichii comparison needs q = p'' + p^2")
-        expected = p.derivative(2) + p * p
+        square = OperatorSpec(KIND_SECOND_ORDER, p=p)
+        expected = square.fourth_order_q()
         diff = q - expected
         scale = 1.0 + max((abs(v) for v in (*expected.u, *expected.w)), default=0.0)
         if any(abs(v) > 1e-9 * scale for v in (*diff.u, *diff.w)):
@@ -741,21 +691,19 @@ def dispute(
                 "(the fourth-order operator must be a perfect square)"
             )
         check_basis_size(n, k)
-        lo = 8
-        if k <= lo:
+        if k <= FIT_LO:
             raise PreconditionError(
-                f"K={k} leaves fewer than two points for the two-term fit from {lo}"
+                f"K={k} leaves fewer than two points for the two-term fit from {FIT_LO}"
             )
-        alpha = spectrum(OperatorSpec(KIND_SECOND_ORDER, p=p), n)
-        if k > alpha.n_trusted:
-            raise PreconditionError(f"K={k} exceeds the trust horizon {alpha.n_trusted}")
+        alpha = spectrum(square, n)
+        alpha.require_trusted(k)
         ns = np.arange(1, k + 1, dtype=float)
         z2 = (np.pi * ns) ** 2
         # third-term sequence: mu_m - (pi m)^4 + 2 p0 (pi m)^2 with the
         # oscillating part removed; fitted against const + b/m^2
         t = _expanded(alpha.vals[:k] ** 2, fp.mean, z2) + _even_cosines(build_V(p, q), k)
-        design = np.column_stack([np.ones(k - lo + 1), 1.0 / ns[lo - 1 :] ** 2])
-        coef, *_ = np.linalg.lstsq(design, t[lo - 1 :], rcond=None)
+        design = np.column_stack([np.ones(k - FIT_LO + 1), 1.0 / ns[FIT_LO - 1 :] ** 2])
+        coef, *_ = np.linalg.lstsq(design, t[FIT_LO - 1 :], rcond=None)
         lhs = float(coef[0])
         variant_rhs = q.functionals().mean
         reference_rhs = (fp.l2sq + fp.mean**2) / 2.0

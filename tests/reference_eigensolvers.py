@@ -9,14 +9,12 @@ import math
 
 import numpy as np
 
-from sinespec import GalerkinMatrix, NumericError
+from sinespec import NumericError
 
 _EPS = float(np.finfo(float).eps)
 
 
 def _as_matrix(a) -> np.ndarray:
-    if isinstance(a, GalerkinMatrix):
-        a = a.a
     m = np.array(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")

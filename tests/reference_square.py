@@ -9,7 +9,7 @@ that share only the multiplication matrix.
 
 import numpy as np
 
-from sinespec import GalerkinMatrix, KIND_SQUARE_PLUS_Q, assemble_h, graded_eigvalsh, multiplication_matrix
+from sinespec import assemble_h, graded_eigvalsh, multiplication_matrix
 
 
 def graded_eigh(a):
@@ -35,17 +35,16 @@ def padded_h2_plus_Q(p, Q, n, n_pad):
         raise ValueError("basis size must be at least 1")
     if n_pad < 2 * n:
         raise ValueError("padding must satisfy n_pad >= 2 n")
-    alpha, basis = graded_eigh(assemble_h(p, n_pad).a)
+    alpha, basis = graded_eigh(assemble_h(p, n_pad))
     mq = multiplication_matrix(Q, n_pad)
     lead = basis[:, :n]
     a = np.diag(alpha[:n] ** 2) + lead.T @ mq @ lead
-    a = 0.5 * (a + a.T)
-    return GalerkinMatrix(a=a, kind=KIND_SQUARE_PLUS_Q)
+    return 0.5 * (a + a.T)
 
 
 def padded_spectrum(p, Q, n):
     """Eigenvalues of the padded section at n (padding 2n) and their change
     against the section at 2n (padding 4n), as ``spectrum`` once solved it."""
-    vals = graded_eigvalsh(padded_h2_plus_Q(p, Q, n, 2 * n).a)
-    fine = graded_eigvalsh(padded_h2_plus_Q(p, Q, 2 * n, 4 * n).a)
+    vals = graded_eigvalsh(padded_h2_plus_Q(p, Q, n, 2 * n))
+    fine = graded_eigvalsh(padded_h2_plus_Q(p, Q, 2 * n, 4 * n))
     return vals, np.abs(vals - fine[:n])

@@ -313,3 +313,42 @@ def test_unread_input_exits_2(capsys, cos2, argv, message):
     assert main(argv + ["--p", cos2, "-N", "64"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("formula", ["TR3", "COR1"])
+def test_center_q_on_a_formula_without_zero_mean_q_exits_2(tmp_path, capsys, cos2, formula):
+    q05 = write_coeff(tmp_path, "q05.json", u=(0.5, 0, 1.0))
+    argv = ["trace", "--formula", formula, "--Q", cos2, "-N", "64", "-K", "16"]
+    argv += ["--q", q05] if formula == "TR3" else ["--p", cos2]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--center-q"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "zero-mean q" in err
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["trace", "--formula", "GLF", "--p", "COS2", "-K", "16", "--format", "json"],
+         ["formula", "k_used", "partial", "accelerated", "rhs", "gap", "rate_exponent",
+          "inputs_digest", "mode", "basis_n", "tau", "q0_shift"]),
+        (["spectrum", "--kind", "H", "--p", "COS2", "--format", "json"],
+         ["kind", "basis_n", "n_trusted", "vals", "est_abs_err"]),
+        (["dispute", "--variant", "DikiiTrfD1", "--p", "COS2", "-K", "16"],
+         ["variant", "computed_lhs", "variant_rhs", "reference_rhs", "verdict",
+          "disagreement", "tolerance"]),
+        (["asym", "--p", "COS2", "-K", "16", "--format", "json"],
+         ["residuals", "fitted_c", "derived_c", "fit_lo", "fit_hi", "basis_n"]),
+        (["localize", "--kind", "H", "--p", "COS2"],
+         ["n0", "violations", "disc_count", "horizon"]),
+    ],
+    ids=["trace", "spectrum", "dispute", "asym", "localize"],
+)
+def test_json_report_key_order(tmp_path, capsys, cos2, argv, keys):
+    out_path = tmp_path / "report.json"
+    argv = [cos2 if a == "COS2" else a for a in argv]
+    assert main(argv + ["-N", "32", "--out", str(out_path)]) == 0
+    text = out_path.read_text()
+    assert list(json.loads(text)) == keys
+    assert text.endswith("}\n")

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from conftest import coefficients, random_symmetric
 from reference_eigensolvers import jacobi_eigenvalues, tridiag_eigenvalues, tridiagonalize
 from reference_square import graded_eigh
+from sinespec import eigensolve
 from sinespec import (
     Coefficient,
     CoefficientSet,
@@ -172,7 +173,7 @@ def test_trace_preserved_by_ql(n, seed):
 @settings(max_examples=15)
 def test_weyl_bound_for_multiplication_perturbation(f):
     n = 24
-    base = assemble_h(ZERO, n).a
+    base = assemble_h(ZERO, n)
     perturbed = base + multiplication_matrix(f, n)
     shift = np.max(np.abs(graded_eigvalsh(perturbed) - graded_eigvalsh(base)))
     sup = float(np.max(np.abs(f.evaluate(np.linspace(0, 1, 4097)))))
@@ -299,6 +300,17 @@ def test_cached_arrays_are_read_only():
         s.vals[0] = 0.0
     with pytest.raises(ValueError):
         s.est_abs_err[:] = 0.0
+
+
+@pytest.mark.parametrize("kind", [KIND_SECOND_ORDER, KIND_FOURTH_ORDER, KIND_SQUARE_PLUS_Q])
+def test_spectrum_assembles_once_at_2n(monkeypatch, kind):
+    # the size-n problem is the leading block of the size-2n matrix
+    calls = []
+    real = eigensolve.assemble_spec
+    monkeypatch.setattr(eigensolve, "assemble_spec", lambda spec, n: calls.append(n) or real(spec, n))
+    s = spectrum.__wrapped__(OperatorSpec(kind, p=COS2), 16)
+    assert calls == [32]
+    assert s.kind == kind and s.basis_n == 16
 
 
 def test_cache_keeps_at_most_64_spectra():

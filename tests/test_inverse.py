@@ -170,13 +170,6 @@ def test_fit_trig_reproduces_samples():
     assert fitted.is_one_periodic()
 
 
-def test_recover_v_accepts_explicit_scalars():
-    res = sweep(OperatorSpec(KIND_FOURTH_ORDER, q=SIN2), 4, n=64, k=24, target="V")
-    rec_default = recover_V(res).copy()
-    rec_given = recover_V(res, p0=0.0, p_l2sq=0.0)
-    assert np.allclose(rec_default, rec_given, atol=0)
-
-
 @pytest.mark.parametrize(
     "template, target",
     [

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import coefficients
@@ -32,18 +33,18 @@ SIN2 = Coefficient.harmonic_sin(2)
 
 
 def test_h_zero_coefficient_is_diagonal():
-    a = assemble_h(ZERO, 3).a
+    a = assemble_h(ZERO, 3)
     assert np.allclose(a, np.diag([(PI * n) ** 2 for n in (1, 2, 3)]), atol=0)
 
 
 def test_h_constant_coefficient_shifts_diagonal():
-    a = assemble_h(Coefficient.constant(2.5), 4).a
+    a = assemble_h(Coefficient.constant(2.5), 4)
     assert np.allclose(a, np.diag([(PI * n) ** 2 - 2.5 for n in (1, 2, 3, 4)]), atol=1e-15)
 
 
 def test_h_cos_2pi_hand_computed_entries():
     # c_0 = 0, c_2 = 1/2: A11 picks up +1/2, A12 vanishes, A22 untouched
-    a = assemble_h(COS2, 2).a
+    a = assemble_h(COS2, 2)
     assert a[0, 0] == pytest.approx(PI**2 + 0.5, rel=1e-15)
     assert a[0, 1] == 0.0 and a[1, 0] == 0.0
     assert a[1, 1] == pytest.approx(4 * PI**2, rel=1e-15)
@@ -58,12 +59,12 @@ def test_h_rejects_empty_basis():
 
 
 def test_H_zero_coefficients_is_diagonal():
-    a = assemble_H(ZERO, ZERO, 3).a
+    a = assemble_H(ZERO, ZERO, 3)
     assert np.allclose(a, np.diag([(PI * n) ** 4 for n in (1, 2, 3)]), atol=0)
 
 
 def test_H_constant_p_diagonal_and_lowest_eigenvalue():
-    a = assemble_H(Coefficient.constant(1.0), ZERO, 4).a
+    a = assemble_H(Coefficient.constant(1.0), ZERO, 4)
     diag = [(PI * n) ** 4 - 2 * (PI * n) ** 2 for n in range(1, 5)]
     assert np.allclose(a, np.diag(diag), atol=1e-12)
     assert a[0, 0] == pytest.approx(77.66988223182372, rel=1e-12)
@@ -72,7 +73,7 @@ def test_H_constant_p_diagonal_and_lowest_eigenvalue():
 def test_H_pure_q_coupling_entries():
     # q = cos(2 pi x): only c_2 = 1/2 is nonzero, so A13 = c_2 - c_4 = +1/2
     # and the diagonal picks up -c_{2n} (nonzero only at n = 1)
-    a = assemble_H(ZERO, COS2, 3).a
+    a = assemble_H(ZERO, COS2, 3)
     assert a[0, 0] == pytest.approx(PI**4 - 0.5, rel=1e-14)
     assert a[0, 2] == pytest.approx(0.5, rel=1e-14)
     assert a[2, 0] == pytest.approx(0.5, rel=1e-14)
@@ -83,7 +84,7 @@ def test_H_pure_q_coupling_entries():
 def test_H_trace_identity_for_pure_q():
     # trace(A) - sum (pi n)^4 = sum_n <q s_n, s_n> = -sum_n c_{2n}(q)
     n = 24
-    a = assemble_H(ZERO, COS2, n).a
+    a = assemble_H(ZERO, COS2, n)
     pure = sum((PI * m) ** 4 for m in range(1, n + 1))
     # the two big sums cancel to O(1); rounding leaves ~n*eps*max entry
     assert np.trace(a) - pure == pytest.approx(-0.5, abs=1e-6)
@@ -100,8 +101,8 @@ def test_multiplication_matrix_constant():
 @given(coefficients(max_degree=5))
 def test_assembled_matrices_exactly_symmetric(f):
     for a in (
-        assemble_h(f, 12).a,
-        assemble_H(f, f, 12).a,
+        assemble_h(f, 12),
+        assemble_H(f, f, 12),
         multiplication_matrix(f, 12),
     ):
         assert np.array_equal(a, a.T)
@@ -118,7 +119,7 @@ def test_multiplication_matrix_equals_direct_indexing_bit_for_bit(f, n):
     assert m.tobytes() == direct.tobytes()
     h = -direct
     h[np.diag_indices(n)] += (np.pi * idx) ** 2
-    assert assemble_h(f, n).a.tobytes() == h.tobytes()
+    assert assemble_h(f, n).tobytes() == h.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 129, 512])
@@ -133,7 +134,7 @@ def test_H_equals_direct_indexing_bit_for_bit(p, q, n):
         cq[np.abs(m - k)] - cq[m + k]
     )
     direct[np.diag_indices(n)] += (np.pi * idx) ** 4
-    a = assemble_H(p, q, n).a
+    a = assemble_H(p, q, n)
     assert a.shape == (n, n) and a.flags.c_contiguous
     assert a.tobytes() == direct.tobytes()
 
@@ -143,8 +144,7 @@ def test_H_equals_direct_indexing_bit_for_bit(p, q, n):
 def test_h2_plus_Q_is_H_at_p2_plus_p_squared_plus_Q_bit_for_bit(p, Q):
     # (-D^2 - p)^2 = D^4 + 2 D p D + (p'' + p^2) on the domain y = y'' = 0
     got = assemble_h2_plus_Q(p, Q, 24)
-    assert got.kind == KIND_SQUARE_PLUS_Q
-    assert got.a.tobytes() == assemble_H(p, p.derivative(2) + p * p + Q, 24).a.tobytes()
+    assert got.tobytes() == assemble_H(p, p.derivative(2) + p * p + Q, 24).tobytes()
 
 
 def test_h2_plus_Q_spectrum_matches_the_padded_oracle():
@@ -159,12 +159,12 @@ def test_h2_plus_Q_spectrum_matches_the_padded_oracle():
 
 
 def test_h2_zero_everything_is_diagonal():
-    a = padded_h2_plus_Q(ZERO, ZERO, 4, 8).a
+    a = padded_h2_plus_Q(ZERO, ZERO, 4, 8)
     assert np.allclose(a, np.diag([(PI * n) ** 4 for n in range(1, 5)]), rtol=1e-12)
 
 
 def test_h2_constant_p():
-    a = padded_h2_plus_Q(Coefficient.constant(2.0), ZERO, 4, 8).a
+    a = padded_h2_plus_Q(Coefficient.constant(2.0), ZERO, 4, 8)
     diag = [((PI * n) ** 2 - 2.0) ** 2 for n in range(1, 5)]
     assert np.allclose(np.sort(np.diag(a)), np.sort(diag), rtol=1e-12)
     off = a - np.diag(np.diag(a))
@@ -173,8 +173,8 @@ def test_h2_constant_p():
 
 def test_h2_with_zero_Q_matches_squared_second_order():
     n, pad = 16, 32
-    vals = graded_eigvalsh(padded_h2_plus_Q(COS2, ZERO, n, pad).a)
-    alpha = graded_eigvalsh(assemble_h(COS2, pad).a)
+    vals = graded_eigvalsh(padded_h2_plus_Q(COS2, ZERO, n, pad))
+    alpha = graded_eigvalsh(assemble_h(COS2, pad))
     assert np.allclose(vals, alpha[:n] ** 2, rtol=1e-12, atol=1e-9)
 
 
@@ -187,9 +187,9 @@ def test_cross_path_identity_fourth_order_vs_squared():
     # y'''' + 2(p y')' + q y equals (h^2 + Q) y for Q = q - p'' - p^2
     n = 64
     q = SIN2
-    via_H = graded_eigvalsh(assemble_H(COS2, q, n).a)
+    via_H = graded_eigvalsh(assemble_H(COS2, q, n))
     Q = q - COS2.derivative(2) - COS2 * COS2
-    via_square = graded_eigvalsh(padded_h2_plus_Q(COS2, Q, n, 2 * n).a)
+    via_square = graded_eigvalsh(padded_h2_plus_Q(COS2, Q, n, 2 * n))
     keep = n // 2
     assert np.max(np.abs(via_H[:keep] - via_square[:keep])) < 1e-5
 
@@ -198,33 +198,64 @@ def test_cross_path_identity_fourth_order_vs_squared():
 
 
 def test_spec_fourth_order_zero_with_shift():
-    a = assemble_spec(OperatorSpec(KIND_FOURTH_ORDER, tau=0.3), 3).a
+    a = assemble_spec(OperatorSpec(KIND_FOURTH_ORDER, tau=0.3), 3)
     assert np.allclose(a, np.diag([(PI * n) ** 4 for n in (1, 2, 3)]), atol=0)
 
 
 def test_spec_shift_matches_explicit_shift():
-    shifted = assemble_spec(OperatorSpec(KIND_SECOND_ORDER, p=SIN2, tau=0.25), 8).a
-    direct = assemble_h(SIN2.shift(0.25), 8).a
+    shifted = assemble_spec(OperatorSpec(KIND_SECOND_ORDER, p=SIN2, tau=0.25), 8)
+    direct = assemble_h(SIN2.shift(0.25), 8)
     assert np.array_equal(shifted, direct)
-    explicit = assemble_h(COS2, 8).a
+    explicit = assemble_h(COS2, 8)
     assert np.max(np.abs(shifted - explicit)) < 1e-12
 
 
 def test_spec_square_plus_q_with_zero_Q_is_H_at_p2_plus_p_squared_bit_for_bit():
     got = assemble_spec(OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2), 16)
-    assert got.kind == KIND_SQUARE_PLUS_Q
-    assert got.a.tobytes() == assemble_H(COS2, COS2.derivative(2) + COS2 * COS2, 16).a.tobytes()
+    assert got.tobytes() == assemble_H(COS2, COS2.derivative(2) + COS2 * COS2, 16).tobytes()
 
 
 def test_spec_fourth_order_adds_q_and_Q():
-    merged = assemble_spec(OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2, Q=COS2), 10).a
-    direct = assemble_H(COS2, SIN2 + COS2, 10).a
+    merged = assemble_spec(OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2, Q=COS2), 10)
+    direct = assemble_H(COS2, SIN2 + COS2, 10)
     assert np.array_equal(merged, direct)
 
 
 def test_spec_rejects_shift_of_non_periodic():
     with pytest.raises(PreconditionError):
         OperatorSpec(KIND_SECOND_ORDER, p=Coefficient.harmonic_cos(1), tau=0.5)
+
+
+@pytest.mark.parametrize("n", [1, 7, 16, 33])
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+@given(data=st.data())
+@settings(max_examples=10)
+def test_leading_block_of_the_2n_assembly_is_the_n_assembly_bit_for_bit(data, tau, n):
+    # sine amplitudes couple every cosine index; odd ones only where unshifted
+    draw = coefficients(max_degree=5, periodic=tau != 0.0)
+    p, q, Q = data.draw(draw), data.draw(draw), data.draw(draw)
+    for spec in (
+        OperatorSpec(KIND_SECOND_ORDER, p=p, tau=tau),
+        OperatorSpec(KIND_FOURTH_ORDER, p=p, q=q, Q=Q, tau=tau),
+        OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=Q, tau=tau),
+    ):
+        block = assemble_spec(spec, 2 * n)[:n, :n]
+        assert np.ascontiguousarray(block).tobytes() == assemble_spec(spec, n).tobytes()
+
+
+@given(
+    p=coefficients(max_degree=4, periodic=True),
+    q=coefficients(max_degree=4, periodic=True),
+    Q=coefficients(max_degree=4, periodic=True),
+)
+@settings(max_examples=10)
+def test_fourth_order_q_of_each_kind(p, q, Q):
+    tau = 0.3
+    sp, sq, sQ = p.shift(tau), q.shift(tau), Q.shift(tau)
+    square = sp.derivative(2) + sp * sp
+    assert OperatorSpec(KIND_FOURTH_ORDER, p=p, q=q, Q=Q, tau=tau).fourth_order_q() == sq + sQ
+    assert OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=Q, tau=tau).fourth_order_q() == square + sQ
+    assert OperatorSpec(KIND_SECOND_ORDER, p=p, tau=tau).fourth_order_q() == square
 
 
 @pytest.mark.parametrize(

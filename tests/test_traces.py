@@ -1,3 +1,5 @@
+import argparse
+import json
 import math
 
 import hypothesis.strategies as st
@@ -32,7 +34,8 @@ from sinespec import (
     tail_accelerate,
     verify,
 )
-from sinespec.traces import _second_order_constant
+from sinespec.cli import _write_report, main
+from sinespec.traces import FORMULAS, _second_order_constant
 
 PI = math.pi
 COS1 = Coefficient.harmonic_cos(1)
@@ -273,6 +276,43 @@ def test_verify_center_q_records_shift():
     assert rep.rhs == pytest.approx(-0.5 + 0.0, abs=1e-12)  # -(q(0)+q(1))/4 after centering
 
 
+@pytest.mark.parametrize(
+    "formula, coeffs",
+    [
+        (FormulaId.TRF3, CoefficientSet(p=COS2, q=COS2 + Coefficient.constant(0.7))),
+        (FormulaId.TRS, CoefficientSet(q=COS2 + Coefficient.constant(0.7))),
+        (FormulaId.IPR1, CoefficientSet(p=COS2, q=SIN2 + Coefficient.constant(0.7))),
+    ],
+    ids=lambda v: v.value if isinstance(v, FormulaId) else "",
+)
+def test_center_q_shifts_the_zero_mean_q_formulas(formula, coeffs):
+    assert ("q", "zero_mean") in FORMULAS[formula].hypotheses
+    rep = verify(formula, coeffs, n=64, k=16, tau=0.25 if formula == FormulaId.IPR1 else 0.0,
+                 center_q=True)
+    assert rep.q0_shift == coeffs.q.functionals().mean == pytest.approx(0.7, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "formula, coeffs",
+    [
+        (FormulaId.GLF, CoefficientSet(p=COS2)),
+        (FormulaId.S01, CoefficientSet(p=COS2)),
+        (FormulaId.TRQ0, CoefficientSet(p=COS2)),
+        (FormulaId.TR3, CoefficientSet(q=COS2 + Coefficient.constant(0.5), Q=COS2)),
+        (FormulaId.COR1, CoefficientSet(p=COS2, Q=COS2)),
+        (FormulaId.IP2, CoefficientSet(p=COS2, Q=SIN2)),
+    ],
+    ids=lambda v: v.value if isinstance(v, FormulaId) else "",
+)
+def test_center_q_is_refused_where_no_zero_mean_q_is_required(formula, coeffs):
+    # centering would silently do nothing here: the identity places no
+    # zero-mean hypothesis on q (TR3 reads a q of any mean, the others none)
+    assert ("q", "zero_mean") not in FORMULAS[formula].hypotheses
+    verify(formula, coeffs, n=64, k=16, mode="richardson")
+    with pytest.raises(PreconditionError, match="zero-mean q"):
+        verify(formula, coeffs, n=64, k=16, mode="richardson", center_q=True)
+
+
 def test_verify_rejects_k_beyond_trust():
     with pytest.raises(PreconditionError):
         verify(FormulaId.GLF, CoefficientSet(p=COS2), n=16, k=17)
@@ -371,14 +411,23 @@ def test_cross_formula_consistency_through_squared_operator():
     assert acc == pytest.approx(-(fQ.end0 + fQ.end1 + 2 * P) / 4.0, abs=2.1e-2)
 
 
-def test_trace_report_serialization_round_trip():
+def test_trace_report_serialization_round_trip(tmp_path):
     rep = verify(FormulaId.GLF, CoefficientSet(p=COS1), n=64, k=16)
-    d = rep.to_dict()
+    path = tmp_path / "rep.json"
+    _write_report(argparse.Namespace(out=str(path)), rep)
+    d = json.loads(path.read_text())
     assert d["formula"] == "GLF"
-    assert len(d["partial"]) == 16
-    rows = list(rep.csv_rows())
-    assert rows[0][0] == 1 and rows[-1][0] == 16
-    assert rows[3][2] == rep.accelerated
+    assert d["partial"] == list(rep.partial)
+    assert d["accelerated"] == rep.accelerated and d["gap"] == rep.gap
+    p = tmp_path / "cos1.json"
+    p.write_text(json.dumps(COS1.to_dict()))
+    out = tmp_path / "rep.csv"
+    assert main(["trace", "--formula", "GLF", "--p", str(p), "-N", "64", "-K", "16",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert rows[0][0] == "1" and rows[-1][0] == "16"
+    assert float(rows[3][1]) == rep.partial[3]
+    assert float(rows[3][2]) == rep.accelerated
 
 
 # -- eigenvalue expansion residuals ----------------------------------------------------
@@ -407,8 +456,6 @@ def test_asym_rejects_k_below_fit_start():
     spec = OperatorSpec(KIND_FOURTH_ORDER, p=COS2)
     with pytest.raises(PreconditionError, match="fit start 8"):
         asym_residuals(spec, n=64, k=4)
-    with pytest.raises(PreconditionError, match="fit start 12"):
-        asym_residuals(spec, n=64, k=11, fit_lo=12)
 
 
 @given(coefficients(max_degree=4), coefficients(max_degree=4), coefficients(max_degree=4))
@@ -647,12 +694,14 @@ def test_shifted_right_sides_match_their_closed_forms(p, q, tau):
     assert _close(rhs(FormulaId.IP2, CoefficientSet(p=p, Q=q), tau), -q.evaluate(tau) / 2.0)
 
 
-def test_asym_reports_the_signed_derived_constant():
+def test_asym_reports_the_signed_derived_constant(tmp_path):
     rep = asym_residuals(OperatorSpec(KIND_FOURTH_ORDER, p=COS2), n=256, k=64)
     assert rep.derived_c == _second_order_constant(COS2, ZERO)
     assert rep.derived_c == pytest.approx(-0.75, abs=1e-6)
     assert rep.fitted_c == pytest.approx(0.745, abs=5e-3)
-    assert rep.to_dict()["derived_c"] == rep.derived_c
+    path = tmp_path / "asym.json"
+    _write_report(argparse.Namespace(out=str(path)), rep)
+    assert json.loads(path.read_text())["derived_c"] == rep.derived_c
 
 
 def test_asym_derived_constant_reads_the_shifted_q_plus_Q():
