@@ -1,6 +1,6 @@
 """Sine-basis spectral laboratory for self-adjoint second- and fourth-order
 operators on the unit interval: exact Galerkin assembly over trigonometric
-coefficients, dense symmetric eigensolves with refinement-based trust
+coefficients, dense symmetric eigensolves with error-estimated trust
 annotations, regularized trace identities with tail acceleration, and
 recovery of coefficient functions from shifted-family spectra."""
 

@@ -1,18 +1,29 @@
-"""Refinement-annotated spectra.
+"""Spectra with per-eigenvalue error estimates, from one solve at n.
 
+``spectrum`` assembles once, at 2n, and solves only the leading n x n
+block, which equals the assembly at n bit for bit (see ``operators``).
 h, H and H+Q are solved by LAPACK on the index-flipped matrix
 (``linalg.graded_eigvalsh``), which the tests check against hand-rolled
 Householder/QL and Jacobi solvers in ``tests/``.  h^2+Q is solved by the
-factored ``linalg.factored_eigvalsh``: its h^2 section is the Gram matrix
-<h s_m, h s_k>, so no eigenvalue lies below -sup|Q|, and the shift
-1 + sum |u_j| + sum |w_j| of Q makes it positive definite.  On H the
-factored solve would triple the sweep time for no gain in the gaps.
+factored ``linalg.factored_eigvalsh``, which keeps each eigenvalue to a
+few eps of itself plus eps * sigma.
 
-``spectrum`` assembles once, at 2n, and solves that matrix and its
-leading n x n block, which equals the assembly at n bit for bit (see
-``operators``).  It is memoized per process by value: equal
-``(OperatorSpec, n)`` keys, even when built from separate objects, share
-one solve, and the 64 most recently used results are kept.  The arrays of a returned
+Each eigenvalue's error estimate has two parts, and neither needs a
+solve larger than n or an eigenvector:
+
+- rounding: |vals - f| + c eps (|f| + sigma), where f is the factored
+  solve of the same block.  For h^2+Q, f is vals itself; h, H and H+Q
+  keep their ``graded_eigvalsh`` values and use f only as the reference.
+- truncation: sum_{m=n+1}^{2n} A_mk^2 / |A_mm - vals_k|, the second-order
+  shift of eigenvalue k by the rows n+1..2n of the same assembly.
+
+``factored_shift`` derives sigma from each kind's structure, so that every
+section plus sigma I is positive definite.  The tests check the estimate
+against the factored solve of the assembly at 4n.
+
+``spectrum`` is memoized per process by value: equal ``(OperatorSpec, n)``
+keys, even when built from separate objects, share one solve, and the 64
+most recently used results are kept.  The arrays of a returned
 ``Spectrum`` are read-only, so no caller can change a cached result;
 ``spectrum.cache_clear()`` empties the cache.
 """
@@ -24,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coeffs import Coefficient
 from .errors import PreconditionError
 from .linalg import factored_eigvalsh, graded_eigvalsh
 from .operators import KIND_SECOND_ORDER, KIND_SQUARE_PLUS_Q, OperatorSpec, assemble_spec
@@ -31,21 +43,30 @@ from .operators import KIND_SECOND_ORDER, KIND_SQUARE_PLUS_Q, OperatorSpec, asse
 __all__ = [
     "Spectrum",
     "spectrum",
+    "factored_shift",
     "trust_scale",
     "TRUST_TOL_DEFAULT",
 ]
 
-# an eigenvalue is trusted while its N -> 2N change stays below this
-# fraction of the unperturbed eigenvalue (pi n)^2 or (pi n)^4
+# an eigenvalue is trusted while its estimated error (rounding plus
+# truncation) stays below this fraction of the unperturbed eigenvalue
+# (pi n)^2 or (pi n)^4
 TRUST_TOL_DEFAULT = 1e-6
+# c of the rounding part c eps (|f| + sigma): the factored solve keeps each
+# eigenvalue to <= 4.2e-15 of itself against cyclic Jacobi (tests)
+ROUNDING_C = 20.0
+# rows of the coupling block summed at a time
+_ROWS = 32
 
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Sorted eigenvalues with per-index refinement estimates.
+    """Sorted eigenvalues with per-index error estimates.
 
-    ``est_abs_err[n-1]`` is the change of eigenvalue n between the basis
-    sizes N and 2N; ``n_trusted`` is the length of the leading run whose
+    ``est_abs_err[n-1]`` estimates the error of eigenvalue n at basis size N:
+    its rounding, against the factored solve, plus its truncation, the
+    second-order shift from the basis functions N+1..2N (see the module
+    docstring).  ``n_trusted`` is the length of the leading run whose
     estimates stay below the trust tolerance.  Trace sums never read past
     the trust horizon.
     """
@@ -73,20 +94,53 @@ def trust_scale(kind: str, n):
     return (np.pi * np.asarray(n, dtype=float)) ** power
 
 
+def _l1(f: Coefficient) -> float:
+    """sum |u_j| + sum |w_j|, a bound on sup |f|."""
+    return sum(abs(x) for x in f.u + f.w)
+
+
+def factored_shift(spec: OperatorSpec) -> float:
+    """sigma with every eigenvalue of every section of spec at least 1 - sigma.
+
+    h = -D^2 - p is bounded below by -sup |p|.  h^2+Q is bounded below by
+    -sup |Q|, since h^2 is a Gram matrix.  H = D^4 + 2 D p D + q_eff is
+    bounded below by -(sup |p|)^2 - sup |q_eff|, because
+    ||y''||^2 - 2 P ||y'||^2 >= -P^2 ||y||^2 when ||y'||^2 <= ||y''|| ||y||.
+    """
+    if spec.kind == KIND_SECOND_ORDER:
+        return 1.0 + _l1(spec.p)
+    if spec.kind == KIND_SQUARE_PLUS_Q:
+        return 1.0 + _l1(spec.Q)
+    return 1.0 + _l1(spec.p) ** 2 + _l1(spec.fourth_order_q())
+
+
+def _truncation(fine: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """sum_{m>n} A_mk^2 / |A_mm - vals_k| over the rows n+1..2n of fine.
+
+    Rows are taken _ROWS at a time, so no n x n temporary is made.
+    """
+    n = vals.size
+    diag = np.diagonal(fine)
+    est = np.zeros(n)
+    for lo in range(n, 2 * n, _ROWS):
+        rows = fine[lo : lo + _ROWS, :n]
+        est += (rows * rows / np.abs(diag[lo : lo + _ROWS, None] - vals)).sum(axis=0)
+    return est
+
+
 @functools.lru_cache(maxsize=64)
 def spectrum(spec: OperatorSpec, n: int) -> Spectrum:
-    """Solve at sizes n and 2n, from one assembly at 2n; annotate the size-n
-    values with estimates."""
+    """Solve the leading n x n block of one assembly at 2n; annotate each
+    eigenvalue with its rounding and truncation estimate."""
     if n < 8:
         raise PreconditionError("basis size must be at least 8")
     fine = assemble_spec(spec, 2 * n)
     coarse = fine[:n, :n]
-    if spec.kind == KIND_SQUARE_PLUS_Q:
-        sigma = 1.0 + sum(abs(x) for x in spec.Q.u + spec.Q.w)
-        vals, vals_fine = (factored_eigvalsh(a, sigma) for a in (coarse, fine))
-    else:
-        vals, vals_fine = graded_eigvalsh(coarse), graded_eigvalsh(fine)
-    est = np.abs(vals - vals_fine[:n])
+    sigma = factored_shift(spec)
+    f = factored_eigvalsh(coarse, sigma)
+    vals = f if spec.kind == KIND_SQUARE_PLUS_Q else graded_eigvalsh(coarse)
+    est = np.abs(vals - f) + ROUNDING_C * np.finfo(float).eps * (np.abs(f) + sigma)
+    est += _truncation(fine, vals)
     ok = est <= TRUST_TOL_DEFAULT * trust_scale(spec.kind, np.arange(1, n + 1))
     n_trusted = n if bool(ok.all()) else int(np.argmin(ok))
     vals.flags.writeable = False

@@ -92,17 +92,24 @@ def assemble_H(p: Coefficient, q: Coefficient, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("basis size must be at least 1")
     idx = np.arange(1, n + 1, dtype=float)
-    mk = np.multiply.outer(idx, idx)
-    a = fourth_order_entries(_toeplitz_hankel(p, n), _toeplitz_hankel(q, n), mk)
+    a = fourth_order_entries(_toeplitz_hankel(p, n), _toeplitz_hankel(q, n), idx[:, None], idx)
     a[np.diag_indices(n)] += (np.pi * idx) ** 4
     return a
 
 
-def fourth_order_entries(cp, cq, mk) -> np.ndarray:
+def fourth_order_entries(cp, cq, m, k) -> np.ndarray:
     """Entries <(2 (p y')' + q y) s_m, s_k>, without the (pi m)^4 diagonal,
-    from the pairs (c_|m-k|, c_{m+k}) of p and of q and the product m k."""
+    from the pairs (c_|m-k|, c_{m+k}) of p and of q and the indices m, k
+    (broadcast against each other)."""
     (pt, ph), (qt, qh) = cp, cq
-    return -2.0 * np.pi**2 * mk * (pt + ph) + (qt - qh)
+    # -2 pi^2 m k (pt + ph) + (qt - qh), evaluated in that order but in
+    # place, so that only two arrays of the result's size are made
+    a = np.multiply(m, k, dtype=float)
+    a *= -2.0 * np.pi**2
+    s = np.add(pt, ph)
+    a *= s
+    a += np.subtract(qt, qh, out=s)
+    return a
 
 
 def assemble_h2_plus_Q(p: Coefficient, Q: Coefficient, n: int) -> np.ndarray:

@@ -222,7 +222,7 @@ def _second_order_constant(p: Coefficient, q: Coefficient) -> float:
     for n in (128, 256):
         m = np.arange(1, 8 * n + 1)
         near, far = np.abs(m - n), m + n
-        row = fourth_order_entries((cp[near], cp[far]), (cq[near], cq[far]), m * n)
+        row = fourth_order_entries((cp[near], cp[far]), (cq[near], cq[far]), m, n)
         # d_n - d_m in factored form: the difference of quartics would cancel
         gaps = np.pi**2 * (n * n - m * m) * (np.pi**2 * (n * n + m * m) - 2.0 * p0)
         off = m != n

@@ -345,6 +345,76 @@ def test_consumers_identical_on_warm_and_cleared_cache():
     assert _bits(run()) == warm
 
 
+# -- one solve at n, and its error estimate ----------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kind", [KIND_SECOND_ORDER, KIND_FOURTH_ORDER, KIND_SQUARE_PLUS_Q])
+def test_spectrum_solves_no_matrix_larger_than_n(monkeypatch, kind):
+    shapes = []
+    for name in ("graded_eigvalsh", "factored_eigvalsh"):
+        real = getattr(eigensolve, name)
+        monkeypatch.setattr(
+            eigensolve, name,
+            lambda a, *rest, real=real: shapes.append(np.shape(a)) or real(a, *rest),
+        )
+    Q = COS2 if kind != KIND_SECOND_ORDER else ZERO
+    spectrum.__wrapped__(OperatorSpec(kind, p=COS2, Q=Q), 16)
+    assert shapes and set(shapes) == {(16, 16)}
+    if kind == KIND_SQUARE_PLUS_Q:
+        assert len(shapes) == 1
+
+
+@given(operator_specs())
+@settings(max_examples=60)
+def test_error_estimate_covers_the_error_against_a_4n_solve(spec):
+    # the reference is the relative-accuracy solve at 4N; its own rounding
+    # enters the allowance as c eps (|ref| + sigma)
+    n, keep = 64, 32
+    s = spectrum(spec, n)
+    sigma = eigensolve.factored_shift(spec)
+    ref = factored_eigvalsh(eigensolve.assemble_spec(spec, 4 * n), sigma)[:keep]
+    allowed = 2.0 * (s.est_abs_err[:keep] + eigensolve.ROUNDING_C * EPS * (np.abs(ref) + sigma))
+    assert np.all(np.abs(s.vals[:keep] - ref) <= allowed)
+
+
+@given(operator_specs())
+@settings(max_examples=40)
+def test_factored_shift_bounds_every_section_below(spec):
+    sigma = eigensolve.factored_shift(spec)
+    for n in (8, 48):
+        a = eigensolve.assemble_spec(spec, n)
+        assert np.linalg.eigvalsh(a)[0] >= 1.0 - sigma
+        factored_eigvalsh(a, sigma)  # its Cholesky factorization must not raise
+
+
+def _h2q_vals_as_first_solved(spec, n):
+    # the h^2+Q solve as it stood before the error estimate moved off the
+    # 2N solve: shift 1 + sum |u_j| + sum |w_j| of the unshifted Q
+    sigma = 1.0 + sum(abs(x) for x in spec.Q.u + spec.Q.w)
+    return factored_eigvalsh(eigensolve.assemble_spec(spec, 2 * n)[:n, :n], sigma)
+
+
+@pytest.mark.parametrize("spec", [
+    OperatorSpec(KIND_SQUARE_PLUS_Q, Q=COS2),
+    OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=COS2),
+    OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=Coefficient.harmonic_sin(2), tau=0.25),
+])
+def test_h2_plus_Q_panel_values_keep_their_bits(spec):
+    got = spectrum(spec, 256).vals
+    assert got.tobytes() == _h2q_vals_as_first_solved(spec, 256).tobytes()
+
+
+@given(coefficients(max_degree=3, periodic=True), coefficients(max_degree=3, periodic=True),
+       st.sampled_from([0.0, 0.3]))
+@settings(max_examples=15)
+def test_h2_plus_Q_values_keep_their_bits(p, Q, tau):
+    spec = OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=Q, tau=tau)
+    got = spectrum(spec, 64).vals
+    assert got.tobytes() == _h2q_vals_as_first_solved(spec, 64).tobytes()
+
+
 # -- robustness fuzz ----------------------------------------------------------------
 
 
