@@ -12,6 +12,14 @@ the amplitudes and no quadrature appears anywhere on the main path.
 Odd frequencies realize asymmetric endpoint data (f(0) != f(1) through
 odd cosines, f'(0) != f'(1) through sines); a coefficient is 1-periodic
 exactly when every odd-frequency amplitude vanishes.
+
+A coefficient is frozen and hashes by its amplitudes, so what depends on
+it alone is memoized by value with ``functools.lru_cache`` at a fixed
+maxsize: ``Coefficient.functionals``, ``Coefficient.shift``,
+``Coefficient.is_one_periodic`` and ``build_V``.  Equal coefficients
+built as separate objects share one entry, and every value returned is
+frozen too.  Keys compare with ``==``, so amplitudes 0.0 and -0.0 are one
+key.
 """
 
 from __future__ import annotations
@@ -117,6 +125,7 @@ class Coefficient:
     def is_constant(self) -> bool:
         return len(self.u) == 1 and not self.w
 
+    @functools.lru_cache(maxsize=256)
     def is_one_periodic(self) -> bool:
         """True iff every odd-frequency amplitude vanishes (period 1)."""
         ua, wa = self._aligned()
@@ -156,6 +165,7 @@ class Coefficient:
             return Coefficient(u=tuple(fac * ua), w=tuple((fac * wa)[1:]))
         raise ValueError("unsupported derivative order (must be 1 or 2)")
 
+    @functools.lru_cache(maxsize=256)
     def shift(self, tau: float) -> "Coefficient":
         """Translate on the circle: g(x) = f(x + tau mod 1).
 
@@ -248,8 +258,7 @@ class Coefficient:
     def functionals(self) -> "Functionals":
         """All scalar functionals in closed form from the amplitudes.
 
-        Memoized by value: a coefficient is frozen and hashes by its
-        amplitudes, and the ``Functionals`` returned are frozen too.
+        Memoized by value (see the module docstring).
         """
         ua, wa = self._aligned()
         j = np.arange(self.degree + 1, dtype=float)
@@ -330,6 +339,7 @@ def big_P(f: Coefficient) -> float:
     return (fn.d1_1 - fn.d1_0) + fn.l2sq
 
 
+@functools.lru_cache(maxsize=256)
 def build_V(p: Coefficient, q: Coefficient) -> Coefficient:
     """The combination V = q - p''/2 entering the fourth-order identities."""
     return q - p.derivative(2).scale(0.5)

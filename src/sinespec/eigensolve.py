@@ -1,7 +1,10 @@
 """Spectra with per-eigenvalue error estimates, from one solve at n.
 
-``spectrum`` assembles once, at 2n, and solves only the leading n x n
-block, which equals the assembly at n bit for bit (see ``operators``).
+``spectrum`` assembles once the 2n x n block of the section at 2n, rows
+1..2n of its columns 1..n, and solves only its upper n x n half, which
+equals the assembly at n bit for bit (see ``operators``).  The lower half
+and the diagonal entries of rows n+1..2n (``operators.assemble_diagonal``)
+give the truncation estimate, so the columns n+1..2n are never built.
 h, H and H+Q are solved by LAPACK on the index-flipped matrix
 (``linalg.graded_eigvalsh``), which the tests check against hand-rolled
 Householder/QL and Jacobi solvers in ``tests/``.  h^2+Q is solved by the
@@ -15,7 +18,7 @@ solve larger than n or an eigenvector:
   solve of the same block.  For h^2+Q, f is vals itself; h, H and H+Q
   keep their ``graded_eigvalsh`` values and use f only as the reference.
 - truncation: sum_{m=n+1}^{2n} A_mk^2 / |A_mm - vals_k|, the second-order
-  shift of eigenvalue k by the rows n+1..2n of the same assembly.
+  shift of eigenvalue k by the rows n+1..2n of the same block.
 
 ``factored_shift`` derives sigma from each kind's structure, so that every
 section plus sigma I is positive definite.  The tests check the estimate
@@ -38,7 +41,13 @@ import numpy as np
 from .coeffs import Coefficient
 from .errors import PreconditionError
 from .linalg import factored_eigvalsh, graded_eigvalsh
-from .operators import KIND_SECOND_ORDER, KIND_SQUARE_PLUS_Q, OperatorSpec, assemble_spec
+from .operators import (
+    KIND_SECOND_ORDER,
+    KIND_SQUARE_PLUS_Q,
+    OperatorSpec,
+    assemble_diagonal,
+    assemble_spec,
+)
 
 __all__ = [
     "Spectrum",
@@ -114,33 +123,32 @@ def factored_shift(spec: OperatorSpec) -> float:
     return 1.0 + _l1(spec.p) ** 2 + _l1(spec.fourth_order_q())
 
 
-def _truncation(fine: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """sum_{m>n} A_mk^2 / |A_mm - vals_k| over the rows n+1..2n of fine.
+def _truncation(coupling: np.ndarray, diag: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """sum_m A_mk^2 / |A_mm - vals_k| over the rows A_m. of ``coupling``, whose
+    diagonal entries A_mm are ``diag``.
 
     Rows are taken _ROWS at a time, so no n x n temporary is made.
     """
-    n = vals.size
-    diag = np.diagonal(fine)
-    est = np.zeros(n)
-    for lo in range(n, 2 * n, _ROWS):
-        rows = fine[lo : lo + _ROWS, :n]
+    est = np.zeros(vals.size)
+    for lo in range(0, len(coupling), _ROWS):
+        rows = coupling[lo : lo + _ROWS]
         est += (rows * rows / np.abs(diag[lo : lo + _ROWS, None] - vals)).sum(axis=0)
     return est
 
 
 @functools.lru_cache(maxsize=64)
 def spectrum(spec: OperatorSpec, n: int) -> Spectrum:
-    """Solve the leading n x n block of one assembly at 2n; annotate each
-    eigenvalue with its rounding and truncation estimate."""
+    """Assemble the 2n x n block once, solve its upper n x n half and
+    annotate each eigenvalue with its rounding and truncation estimate."""
     if n < 8:
         raise PreconditionError("basis size must be at least 8")
-    fine = assemble_spec(spec, 2 * n)
-    coarse = fine[:n, :n]
+    block = assemble_spec(spec, n, rows=2 * n)
+    coarse = block[:n]
     sigma = factored_shift(spec)
     f = factored_eigvalsh(coarse, sigma)
     vals = f if spec.kind == KIND_SQUARE_PLUS_Q else graded_eigvalsh(coarse)
     est = np.abs(vals - f) + ROUNDING_C * np.finfo(float).eps * (np.abs(f) + sigma)
-    est += _truncation(fine, vals)
+    est += _truncation(block[n:], assemble_diagonal(spec, 2 * n)[n:], vals)
     ok = est <= TRUST_TOL_DEFAULT * trust_scale(spec.kind, np.arange(1, n + 1))
     n_trusted = n if bool(ok.all()) else int(np.argmin(ok))
     vals.flags.writeable = False

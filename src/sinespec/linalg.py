@@ -43,17 +43,20 @@ def factored_eigvalsh(a, sigma: float):
 
 
 def compensated_cumsum(terms):
-    """Prefix sums of ``terms`` accumulated with Neumaier compensation."""
-    terms = np.asarray(terms, dtype=float)
-    out = np.empty(terms.size)
+    """Prefix sums of ``terms`` accumulated with Neumaier compensation.
+
+    The loop runs on Python floats, which do the same IEEE double
+    operations as numpy scalars at a fraction of the cost per operation.
+    """
+    out = []
     s = 0.0
     c = 0.0
-    for i, x in enumerate(terms):
+    for x in np.asarray(terms, dtype=float).tolist():
         t = s + x
         if abs(s) >= abs(x):
             c += (s - t) + x
         else:
             c += (x - t) + s
         s = t
-        out[i] = s + c
-    return out
+        out.append(s + c)
+    return np.array(out, dtype=float)

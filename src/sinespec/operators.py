@@ -13,7 +13,13 @@ exactly symmetric entry-by-entry because each entry is built from
 index-symmetric expressions; c_|m-n| and c_{m+n} are strided Toeplitz and
 Hankel views of one cosine table.  Cosine tables are prefix-stable, so the
 leading n x n block of an assembly at 2n equals the assembly at n bit for
-bit.
+bit.  Given ``rows`` > n, an assembler returns only rows 1..rows of the
+columns 1..n of the section at ``rows``, from views over a table of
+length rows + n: ``eigensolve.spectrum`` reads the 2n x n block, whose
+upper half is the section at n and whose lower half couples it to the
+modes n+1..2n.  ``assemble_diagonal`` gives the diagonal of a section
+from the same entry formulas, so the lower half's diagonal entries need
+no assembly of their columns.
 
 Where y = y'' = 0 at both endpoints, (-D^2 - p)^2 y = y'''' + 2 (p y')' +
 (p'' + p^2) y, so every fourth-order spectrum is that of some H(p, q_eff).
@@ -44,6 +50,7 @@ __all__ = [
     "fourth_order_entries",
     "assemble_h2_plus_Q",
     "assemble_spec",
+    "assemble_diagonal",
 ]
 
 KIND_SECOND_ORDER = "second_order"
@@ -58,42 +65,49 @@ _READS = {
 }
 
 
-def _toeplitz_hankel(f: Coefficient, n: int):
-    """Strided views (c_|m-k|, c_{m+k}) of f's cosine table, m, k = 1..n."""
-    c = f.cosine_coeffs(2 * n)
-    # Row m (0-based) of c_|m-k| is the window of c_{n-1}..c_1, c_0..c_{n-1}
-    # starting at n-1-m; row m of c_{m+k} is the window of c starting at m+2.
-    toeplitz = sliding_window_view(np.concatenate((c[n - 1 : 0 : -1], c[:n])), n)[::-1]
-    hankel = sliding_window_view(c[2 : 2 * n + 1], n)
+def _rows(n: int, rows) -> int:
+    """The row count of a block: n for the square section, else rows >= n."""
+    if n < 1:
+        raise ValueError("basis size must be at least 1")
+    if rows is None:
+        return n
+    if rows < n:
+        raise ValueError("a block must have at least as many rows as columns")
+    return rows
+
+
+def _toeplitz_hankel(f: Coefficient, n: int, rows: int):
+    """Strided views (c_|m-k|, c_{m+k}) of f's cosine table, m = 1..rows, k = 1..n."""
+    c = f.cosine_coeffs(rows + n)
+    # Row m (0-based) of c_|m-k| is the window of c_{rows-1}..c_1, c_0..c_{n-1}
+    # starting at rows-1-m; row m of c_{m+k} is the window of c starting at m+2.
+    toeplitz = sliding_window_view(np.concatenate((c[rows - 1 : 0 : -1], c[:n])), n)[::-1]
+    hankel = sliding_window_view(c[2 : rows + n + 1], n)
     return toeplitz, hankel
 
 
-def multiplication_matrix(f: Coefficient, n: int) -> np.ndarray:
+def multiplication_matrix(f: Coefficient, n: int, rows: int | None = None) -> np.ndarray:
     """Matrix of pointwise multiplication by f in the sine basis."""
-    if n < 1:
-        raise ValueError("basis size must be at least 1")
-    toeplitz, hankel = _toeplitz_hankel(f, n)
+    toeplitz, hankel = _toeplitz_hankel(f, n, _rows(n, rows))
     return toeplitz - hankel
 
 
-def assemble_h(p: Coefficient, n: int) -> np.ndarray:
+def assemble_h(p: Coefficient, n: int, rows: int | None = None) -> np.ndarray:
     """Second-order operator -y'' - p y with y(0) = y(1) = 0."""
-    if n < 1:
-        raise ValueError("basis size must be at least 1")
-    a = multiplication_matrix(p, n)
+    a = multiplication_matrix(p, n, rows)
     np.negative(a, out=a)
     idx = np.arange(1, n + 1)
     a[np.diag_indices(n)] += (np.pi * idx) ** 2
     return a
 
 
-def assemble_H(p: Coefficient, q: Coefficient, n: int) -> np.ndarray:
+def assemble_H(p: Coefficient, q: Coefficient, n: int, rows: int | None = None) -> np.ndarray:
     """Fourth-order operator y'''' + 2 (p y')' + q y with y = y'' = 0 at 0, 1."""
-    if n < 1:
-        raise ValueError("basis size must be at least 1")
-    idx = np.arange(1, n + 1, dtype=float)
-    a = fourth_order_entries(_toeplitz_hankel(p, n), _toeplitz_hankel(q, n), idx[:, None], idx)
-    a[np.diag_indices(n)] += (np.pi * idx) ** 4
+    rows = _rows(n, rows)
+    idx = np.arange(1, rows + 1, dtype=float)
+    a = fourth_order_entries(_toeplitz_hankel(p, n, rows), _toeplitz_hankel(q, n, rows),
+                             idx[:, None], idx[:n])
+    a[np.diag_indices(n)] += (np.pi * idx[:n]) ** 4
     return a
 
 
@@ -112,9 +126,10 @@ def fourth_order_entries(cp, cq, m, k) -> np.ndarray:
     return a
 
 
-def assemble_h2_plus_Q(p: Coefficient, Q: Coefficient, n: int) -> np.ndarray:
+def assemble_h2_plus_Q(p: Coefficient, Q: Coefficient, n: int,
+                       rows: int | None = None) -> np.ndarray:
     """Square of the second-order operator plus Q, as H(p, p'' + p^2 + Q)."""
-    return assemble_H(p, OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=Q).fourth_order_q(), n)
+    return assemble_H(p, OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=Q).fourth_order_q(), n, rows)
 
 
 @dataclass(frozen=True)
@@ -167,11 +182,29 @@ class OperatorSpec:
         return square if self.kind == KIND_SECOND_ORDER else square + Q
 
 
-def assemble_spec(spec: OperatorSpec, n: int) -> np.ndarray:
-    """Shift the coefficients, then dispatch to the matching assembler."""
+def assemble_spec(spec: OperatorSpec, n: int, rows: int | None = None) -> np.ndarray:
+    """Shift the coefficients, then dispatch to the matching assembler: the
+    section at n, or given ``rows``, its columns 1..n in rows 1..rows."""
     p, _, Q = spec.shifted_coefficients()
     if spec.kind == KIND_SECOND_ORDER:
-        return assemble_h(p, n)
+        return assemble_h(p, n, rows)
     if spec.kind == KIND_SQUARE_PLUS_Q:
-        return assemble_h2_plus_Q(p, Q, n)
-    return assemble_H(p, spec.fourth_order_q(), n)
+        return assemble_h2_plus_Q(p, Q, n, rows)
+    return assemble_H(p, spec.fourth_order_q(), n, rows)
+
+
+def assemble_diagonal(spec: OperatorSpec, n: int) -> np.ndarray:
+    """The diagonal A_mm, m = 1..n, of ``assemble_spec(spec, n)`` from the
+    same entry formulas at c_|m-k| = c_0, c_{m+k} = c_2m: -(c_0 - c_2m) +
+    (pi m)^2 for h, ``fourth_order_entries`` plus (pi m)^4 for the
+    fourth-order kinds."""
+    if n < 1:
+        raise ValueError("basis size must be at least 1")
+    idx = np.arange(1, n + 1, dtype=float)
+    cp = spec.shifted_coefficients()[0].cosine_coeffs(2 * n)
+    if spec.kind == KIND_SECOND_ORDER:
+        return np.negative(cp[0] - cp[2::2]) + (np.pi * idx) ** 2
+    cq = spec.fourth_order_q().cosine_coeffs(2 * n)
+    a = fourth_order_entries((cp[0], cp[2::2]), (cq[0], cq[2::2]), idx, idx)
+    a += (np.pi * idx) ** 4
+    return a

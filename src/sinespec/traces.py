@@ -170,6 +170,7 @@ def _effective_q(role: str, cs: CoefficientSet) -> tuple:
     return q - Coefficient.constant(q0), q0
 
 
+@functools.lru_cache(maxsize=64)
 def _zeta2_tail(k: int) -> float:
     # sum_{n > k} 1/n^2
     return math.pi**2 / 6.0 - sum(1.0 / (n * n) for n in range(1, k + 1))
@@ -180,11 +181,13 @@ def _even_cosines(g: Coefficient, k: int) -> np.ndarray:
     return g.cosine_coeffs(2 * k)[2::2][:k]
 
 
+@functools.lru_cache(maxsize=256)
 def _endpoint_tail(g: Coefficient, k: int) -> float:
     """sum_{n > k} c_{2n}(g), closed through the endpoint-jump identity.
 
     The full series sums to (g(0) + g(1))/4 - g0/2; subtracting the first
-    k terms leaves the exact tail of the model.
+    k terms leaves the exact tail of the model.  Memoized by value, like
+    ``spectrum``.
     """
     fg = g.functionals()
     return ((fg.end0 + fg.end1) / 4.0 - fg.mean / 2.0) - float(_even_cosines(g, k).sum())
@@ -499,7 +502,7 @@ def verify(
     return TraceReport(
         formula=formula,
         k_used=k,
-        partial=tuple(float(s) for s in parts),
+        partial=tuple(parts.tolist()),
         accelerated=float(accelerated),
         rhs=float(right),
         gap=float(accelerated - right),
@@ -582,27 +585,24 @@ def localization(spec: Spectrum) -> LocalizationReport:
         raise PreconditionError("localization applies to fourth-order spectra")
     horizon = spec.n_trusted
     vals = np.asarray(spec.vals[:horizon])
-    roots = np.where(vals >= 0.0, np.abs(vals) ** 0.25, np.nan)
-    counts = np.zeros(horizon + 1, dtype=int)
-    for n in range(1, horizon + 1):
-        lo, hi = np.pi * n - np.pi / 4.0, np.pi * n + np.pi / 4.0
-        counts[n] = int(np.sum((roots > lo) & (roots < hi)))
-    bad = [n for n in range(1, horizon + 1) if counts[n] != 1]
+    # counting is order-free, so both counts search sorted copies: the
+    # roots in each open window (lo, hi), the moduli below each radius
+    roots = np.sort((np.abs(vals) ** 0.25)[vals >= 0.0])
+    ns = np.arange(1, horizon + 1)
+    lo, hi = np.pi * ns - np.pi / 4.0, np.pi * ns + np.pi / 4.0
+    counts = np.searchsorted(roots, hi, "left") - np.searchsorted(roots, lo, "right")
+    bad = [int(n) for n in ns[counts != 1]]
     start = max(bad, default=0)
-    for n0 in range(start, horizon + 1):
-        disc = int(np.sum(np.abs(vals) < math.pi**4 * (n0 + 0.5) ** 4))
-        if disc == n0:
-            return LocalizationReport(
-                n0=n0,
-                violations=tuple((n, int(counts[n])) for n in bad if n > n0),
-                disc_count=disc,
-                horizon=horizon,
-            )
-    disc = int(np.sum(np.abs(vals) < math.pi**4 * (horizon + 0.5) ** 4))
+    n0s = range(start, horizon + 1)
+    radii = [math.pi**4 * (n0 + 0.5) ** 4 for n0 in n0s]
+    discs = np.searchsorted(np.sort(np.abs(vals)), radii, "left").tolist()
+    # the least n0 whose disc holds n0 eigenvalues; none: every miscount
+    # is a violation, with the disc of the whole trusted range
+    n0 = next((n0 for n0, disc in zip(n0s, discs) if disc == n0), None)
     return LocalizationReport(
-        n0=horizon,
-        violations=tuple((n, int(counts[n])) for n in bad),
-        disc_count=disc,
+        n0=horizon if n0 is None else n0,
+        violations=tuple((n, int(counts[n - 1])) for n in bad if n0 is None or n > n0),
+        disc_count=discs[-1] if n0 is None else n0,
         horizon=horizon,
     )
 

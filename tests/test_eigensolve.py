@@ -307,9 +307,10 @@ def test_spectrum_assembles_once_at_2n(monkeypatch, kind):
     # the size-n problem is the leading block of the size-2n matrix
     calls = []
     real = eigensolve.assemble_spec
-    monkeypatch.setattr(eigensolve, "assemble_spec", lambda spec, n: calls.append(n) or real(spec, n))
+    monkeypatch.setattr(eigensolve, "assemble_spec",
+                        lambda spec, n, rows=None: calls.append((rows, n)) or real(spec, n, rows))
     s = spectrum.__wrapped__(OperatorSpec(kind, p=COS2), 16)
-    assert calls == [32]
+    assert calls == [(32, 16)]
     assert s.kind == kind and s.basis_n == 16
 
 

@@ -1,0 +1,283 @@
+"""The faster paths keep every output bit for bit.
+
+Each is held to the path it replaced (``reference_paths``) or to its own
+undecorated function: the 2n x n block ``spectrum`` assembles, the memo
+caches, the compensated sum over Python floats and the searchsorted
+localization counts.  The last test checks the traffic of the memo
+caches: a repeated panel pass computes nothing again.
+"""
+
+import importlib.util
+import math
+import struct
+from pathlib import Path
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import example, given
+
+from conftest import coefficients
+from reference_paths import loop_localization, numpy_scalar_cumsum, square_spectrum
+from sinespec import (
+    Coefficient,
+    KIND_FOURTH_ORDER,
+    KIND_SECOND_ORDER,
+    KIND_SQUARE_PLUS_Q,
+    OperatorSpec,
+    assemble_spec,
+    build_V,
+    compensated_cumsum,
+    spectrum,
+    verify,
+)
+from sinespec import coeffs, eigensolve, inverse, linalg, operators, traces
+from sinespec.eigensolve import Spectrum
+from sinespec.operators import assemble_diagonal
+
+ROOT = Path(__file__).resolve().parents[1]
+COS1 = Coefficient.harmonic_cos(1)
+COS2 = Coefficient.harmonic_cos(2)
+SIN2 = Coefficient.harmonic_sin(2)
+SIN3 = Coefficient.harmonic_sin(3)
+COS4 = Coefficient.harmonic_cos(4)
+
+
+def bits(x):
+    """x with every float as its IEEE bytes, so that 0.0 and -0.0 differ."""
+    if isinstance(x, Coefficient):
+        return bits((x.u, x.w))
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(v) for v in x)
+    if isinstance(x, float):
+        return struct.pack("<d", x)
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    return x
+
+
+def specs(shifted):
+    """One spec per kind (H twice: without and with Q); odd frequencies
+    only where there is no shift."""
+    tau = 0.3 if shifted else 0.0
+    p = COS2 + SIN2.scale(0.5) if shifted else COS1 + SIN3.scale(0.5)
+    q = SIN2 if shifted else SIN3 + COS2
+    Q = COS4 - COS2.scale(0.25) if shifted else COS1.scale(0.75)
+    return [
+        OperatorSpec(KIND_SECOND_ORDER, p=p, tau=tau),
+        OperatorSpec(KIND_FOURTH_ORDER, p=p, q=q, tau=tau),
+        OperatorSpec(KIND_FOURTH_ORDER, p=p, q=q, Q=Q, tau=tau),
+        OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=Q, tau=tau),
+    ]
+
+
+# -- the 2n x n block ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_spectrum_matches_square_assembly_oracle(n, shifted):
+    for spec in specs(shifted):
+        s = spectrum.__wrapped__(spec, n)
+        vals, est, n_trusted = square_spectrum(spec, n)
+        assert bits((s.vals, s.est_abs_err, s.n_trusted)) == bits((vals, est, n_trusted))
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_block_rows_equal_square_columns(n, shifted):
+    for spec in specs(shifted):
+        square = assemble_spec(spec, 2 * n)
+        block = assemble_spec(spec, n, rows=2 * n)
+        assert block.shape == (2 * n, n)
+        assert bits(block) == bits(np.ascontiguousarray(square[:, :n]))
+        assert bits(assemble_diagonal(spec, 2 * n)) == bits(np.diagonal(square).copy())
+
+
+@given(coefficients(max_degree=5), coefficients(max_degree=5), coefficients(max_degree=5),
+       st.sampled_from(["h", "H", "h2q"]), st.integers(8, 40), st.integers(0, 24))
+def test_block_and_diagonal_bit_for_bit_on_random_coefficients(p, q, Q, kind, n, extra):
+    spec = {
+        "h": OperatorSpec(KIND_SECOND_ORDER, p=p),
+        "H": OperatorSpec(KIND_FOURTH_ORDER, p=p, q=q, Q=Q),
+        "h2q": OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=Q),
+    }[kind]
+    rows = n + extra
+    square = assemble_spec(spec, rows)
+    assert bits(assemble_spec(spec, n, rows=rows)) == bits(np.ascontiguousarray(square[:, :n]))
+    assert bits(assemble_diagonal(spec, rows)) == bits(np.diagonal(square).copy())
+
+
+def test_block_needs_as_many_rows_as_columns():
+    with pytest.raises(ValueError):
+        assemble_spec(OperatorSpec(KIND_SECOND_ORDER, p=COS2), 8, rows=7)
+
+
+# -- memo caches -----------------------------------------------------------------------
+
+
+def copy_of(f):
+    """An equal coefficient built as a separate object."""
+    return Coefficient(u=f.u, w=f.w)
+
+
+def memo_matches_wrapped(memo, *args):
+    """memo on args and on equal copies (a hit) both give the undecorated
+    function's value bit for bit.  The cache is emptied first: keys compare
+    by ==, so an entry left by an earlier draw that differs only in signed
+    zeros would be returned (see ``coeffs``)."""
+    memo.cache_clear()
+    fresh = memo.__wrapped__(*args)
+    first = memo(*args)
+    again = memo(*(copy_of(a) if isinstance(a, Coefficient) else a for a in args))
+    assert bits(first) == bits(fresh)
+    assert bits(again) == bits(fresh)
+    assert memo.cache_info().hits == 1
+
+
+@given(coefficients(max_degree=6, periodic=True), st.floats(-2.0, 2.0, allow_nan=False))
+@example(Coefficient(u=(-0.0, 0.0, 1.0), w=(0.0, -0.0)), -0.0)
+def test_shift_memo_matches_wrapped(f, tau):
+    memo_matches_wrapped(Coefficient.shift, f, tau)
+
+
+@given(coefficients(max_degree=6))
+def test_is_one_periodic_memo_matches_wrapped(f):
+    memo_matches_wrapped(Coefficient.is_one_periodic, f)
+
+
+@given(coefficients(max_degree=6), coefficients(max_degree=6))
+def test_build_v_memo_matches_wrapped(p, q):
+    memo_matches_wrapped(build_V, p, q)
+
+
+@given(coefficients(max_degree=6), st.integers(1, 64))
+def test_endpoint_tail_memo_matches_wrapped(g, k):
+    memo_matches_wrapped(traces._endpoint_tail, g, k)
+
+
+@given(st.integers(1, 300))
+def test_zeta2_tail_memo_matches_wrapped(k):
+    memo_matches_wrapped(traces._zeta2_tail, k)
+
+
+# -- compensated summation ---------------------------------------------------------------
+
+finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+# runs of one term, one signed zero, or x, y, -x: a small y between two
+# terms that cancel
+chunks = st.one_of(
+    finite.map(lambda x: [x]),
+    st.sampled_from([[0.0], [-0.0]]),
+    st.tuples(finite, st.floats(-1.0, 1.0)).map(lambda t: [t[0], t[1], -t[0]]),
+)
+
+
+@given(st.lists(chunks, max_size=30).map(lambda runs: [x for run in runs for x in run]))
+@example([])
+@example([-0.0])
+@example([-0.0, -0.0, 0.0, -0.0])
+@example([1e16, 1.0, -1e16, 1.0, -0.0])
+@example([1.0, 1e100, 1.0, -1e100])
+@example([0.1] * 10 + [-1.0])
+def test_compensated_cumsum_matches_numpy_scalar_loop(terms):
+    assert bits(compensated_cumsum(terms)) == bits(numpy_scalar_cumsum(terms))
+
+
+def test_compensated_cumsum_reads_an_array():
+    terms = np.array([3.0, -1e-17, 1e17, -1e17])
+    assert bits(compensated_cumsum(terms)) == bits(numpy_scalar_cumsum(terms))
+
+
+# -- localization ---------------------------------------------------------------------
+
+
+@st.composite
+def fourth_order_values(draw):
+    """Sorted values near (pi n)^4, some pushed out of their window (or
+    into a neighbour's: a window may hold none or two), some negative, with
+    a trust horizon at or below their count."""
+    size = draw(st.integers(1, 40))
+    vals = [(math.pi * n + draw(st.floats(-2.0, 2.0))) ** 4 for n in range(1, size + 1)]
+    for i in range(min(size, draw(st.integers(0, 3)))):
+        vals[i] = -draw(st.floats(0.0, 50.0))
+    return np.sort(np.array(vals)), draw(st.integers(0, size))
+
+
+def quartics(*roots):
+    return np.array([r**4 for r in roots])
+
+
+@given(fourth_order_values())
+# no threshold works: the last window is empty and the disc one short
+@example((quartics(math.pi, 2 * math.pi, 3 * math.pi, 4 * math.pi + 1.9), 4))
+# window 2 holds two values, window 3 none
+@example((quartics(math.pi, 2 * math.pi - 0.5, 2 * math.pi + 0.5, 4 * math.pi), 4))
+def test_localization_matches_loop_counts(drawn):
+    vals, horizon = drawn
+    s = Spectrum(KIND_FOURTH_ORDER, vals.size, horizon, vals, np.zeros(vals.size))
+    rep = traces.localization(s)
+    assert (rep.n0, rep.violations, rep.disc_count, rep.horizon) == (
+        *loop_localization(vals, horizon), horizon)
+
+
+@pytest.mark.parametrize("spec", specs(False)[1:] + specs(True)[1:], ids=str)
+def test_localization_matches_loop_counts_on_spectra(spec):
+    s = spectrum(spec, 64)
+    rep = traces.localization(s)
+    assert (rep.n0, rep.violations, rep.disc_count) == loop_localization(s.vals, s.n_trusted)
+
+
+# -- memo traffic -----------------------------------------------------------------------
+
+
+def memo_caches():
+    """Every functools cache the library defines, by name."""
+    found = {}
+    for module in (coeffs, operators, linalg, eigensolve, traces, inverse):
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                found[f"{module.__name__}.{name}"] = obj
+    for name, obj in vars(Coefficient).items():
+        if hasattr(obj, "cache_info"):
+            found[f"Coefficient.{name}"] = obj
+    return found
+
+
+def test_memo_caches_are_found():
+    assert set(memo_caches()) == {
+        "Coefficient.functionals",
+        "Coefficient.shift",
+        "Coefficient.is_one_periodic",
+        "sinespec.coeffs.build_V",
+        "sinespec.eigensolve.spectrum",
+        "sinespec.traces._effective_q",
+        "sinespec.traces._zeta2_tail",
+        "sinespec.traces._endpoint_tail",
+        "sinespec.traces._second_order_constant",
+    }
+
+
+def trace_suite_panel():
+    path = ROOT / "scripts" / "run_trace_suite.py"
+    module_spec = importlib.util.spec_from_file_location("run_trace_suite", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module.PANEL
+
+
+def test_second_panel_pass_misses_no_memo_cache():
+    panel = trace_suite_panel()
+    assert len(panel) == 13
+
+    def panel_pass():
+        for mode in ("fourier", "richardson"):
+            for formula, cs, tau in panel:
+                verify(formula, cs, n=64, k=16, mode=mode, tau=tau)
+
+    panel_pass()
+    caches = memo_caches()
+    misses = {name: cache.cache_info().misses for name, cache in caches.items()}
+    panel_pass()
+    assert {name: cache.cache_info().misses - misses[name] for name, cache in caches.items()} == (
+        dict.fromkeys(caches, 0))
