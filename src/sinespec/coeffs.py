@@ -188,14 +188,14 @@ class Coefficient:
     def __add__(self, other: "Coefficient") -> "Coefficient":
         if not isinstance(other, Coefficient):
             return NotImplemented
-        deg = max(self.degree, other.degree)
-        u = np.zeros(deg + 1)
-        w = np.zeros(deg + 1)
+        u = [0.0] * max(len(self.u), len(other.u))
+        w = [0.0] * max(len(self.w), len(other.w))
         for f in (self, other):
-            ua, wa = f._aligned()
-            u[: ua.size] += ua
-            w[: wa.size] += wa
-        return Coefficient(u=tuple(u), w=tuple(w[1:]))
+            for j, v in enumerate(f.u):
+                u[j] += v
+            for j, v in enumerate(f.w):
+                w[j] += v
+        return Coefficient(u=tuple(u), w=tuple(w))
 
     def __neg__(self) -> "Coefficient":
         return Coefficient(u=tuple(-v for v in self.u), w=tuple(-v for v in self.w))
@@ -277,14 +277,14 @@ class Coefficient:
 
 
 def _product(f: Coefficient, g: Coefficient) -> Coefficient:
-    """Exact pointwise product via the product-to-sum identities."""
-    fu, fw = f._aligned()
-    gu, gw = g._aligned()
+    """Exact pointwise product via the product-to-sum identities, over Python floats."""
+    fu, fw = (a.tolist() for a in f._aligned())
+    gu, gw = (a.tolist() for a in g._aligned())
     deg = f.degree + g.degree
-    u = np.zeros(deg + 1)
-    w = np.zeros(deg + 1)
-    for j in range(fu.size):
-        for k in range(gu.size):
+    u = [0.0] * (deg + 1)
+    w = [0.0] * (deg + 1)
+    for j in range(len(fu)):
+        for k in range(len(gu)):
             s, d = j + k, abs(j - k)
             cc = fu[j] * gu[k]
             if cc != 0.0:

@@ -1,13 +1,11 @@
 """Circle-shift sweeps and recovery of coefficient functions from spectra.
 
 A sweep solves the shifted operator family on a uniform tau grid and
-accelerates the matching regularized trace sum at every grid point; the
-recovery routines then invert the pointwise identities
-
-    V(tau) = -2 S(tau) - (P - p0^2)/2        (fourth-order family)
-    q(tau) = V(tau) + p''(tau)/2             (known p)
-    Q(tau) = -2 sum(nu_n(tau) - alpha_n^2)   (squared family)
-    p(tau) = +2 sum(alpha_n(tau) - (pi n)^2) (second-order family, p0 = 0)
+accelerates the matching regularized trace sum S(tau) at every grid
+point.  Recovery inverts the formula's own right side (``traces.FORMULAS``),
+which at a shift tau is affine in the target's value there:
+value(tau) = (S(tau) - rhs(rest shifted by tau)) / slope, ``rest`` being
+the coefficients with the target removed (for V: q := p''/2, where V = 0).
 
 The closed-form ``fourier`` tail is the default acceleration, as in the
 CLI.  Its model of the IPR1 and IP2 sums carries the 1/n^2 constant that
@@ -30,9 +28,11 @@ from .errors import PreconditionError
 from .operators import KIND_SECOND_ORDER, OperatorSpec
 from .traces import (
     FORMULAS,
+    MEAN_TOL,
     ROLES,
     CoefficientSet,
     FormulaId,
+    check_acceleration,
     check_basis_size,
     check_preconditions,
     localization,
@@ -44,20 +44,21 @@ from .traces import (
 __all__ = ["TARGETS", "SweepResult", "sweep", "target_kind",
            "recover_V", "recover_q", "recover_Q", "fit_trig"]
 
-TARGETS = ("V", "q", "Q", "p_second_order")
-
-# The first target of an operator kind is the sweep's default for that kind.
-_TARGET_FORMULA = {
-    "q": FormulaId.IPR1,
-    "V": FormulaId.IPR1,
-    "Q": FormulaId.IP2,
-    "p_second_order": FormulaId.GLF,
+# target: (formula, slope of its right side in the target's value at tau, the
+# template's coefficients with the target removed); a kind's first target is
+# the sweep's default for that kind.
+_TARGETS = {
+    "q": (FormulaId.IPR1, -0.5, lambda t: CoefficientSet(p=t.p)),
+    "V": (FormulaId.IPR1, -0.5, lambda t: CoefficientSet(p=t.p, q=0.5 * t.p.derivative(2))),
+    "Q": (FormulaId.IP2, -0.5, lambda t: CoefficientSet(p=t.p)),
+    "p_second_order": (FormulaId.GLF, 0.5, lambda t: CoefficientSet()),
 }
+TARGETS = tuple(_TARGETS)
 
 
 def target_kind(target: str) -> str:
     """Operator kind a sweep for ``target`` solves: that of its formula's first role."""
-    return ROLES[FORMULAS[_TARGET_FORMULA[target]].roles[0]][0]
+    return ROLES[FORMULAS[_TARGETS[target][0]].roles[0]][0]
 
 
 @dataclass
@@ -115,7 +116,7 @@ def sweep(
         raise PreconditionError("sweep template must carry tau = 0")
     check_basis_size(n, k)
     if target is None:
-        target = next(t for t in _TARGET_FORMULA if target_kind(t) == template.kind)
+        target = next(t for t in _TARGETS if target_kind(t) == template.kind)
     if target not in TARGETS:
         raise ValueError(f"unknown sweep target {target!r}")
     if template.kind != target_kind(target):
@@ -126,11 +127,12 @@ def sweep(
         f = getattr(template, name)
         if not f.is_zero() and not f.is_one_periodic():
             raise PreconditionError(f"sweep requires 1-periodic {name}")
-    formula = _TARGET_FORMULA[target]
+    formula = _TARGETS[target][0]
     coeffs = CoefficientSet(p=template.p, q=template.q, Q=template.Q)
     check_preconditions(formula, coeffs)
-    if target == "p_second_order" and abs(template.p.functionals().mean) > 1e-10:
+    if target == "p_second_order" and abs(template.p.functionals().mean) > MEAN_TOL:
         raise PreconditionError("second-order recovery requires zero-mean p")
+    check_acceleration(formula, k, mode)
 
     taus = np.arange(grid_size, dtype=float) / grid_size
     spectra_list = []
@@ -164,47 +166,36 @@ def sweep(
     )
 
 
-def recover_V(sr: SweepResult) -> np.ndarray:
-    """Pointwise V(tau) from the accelerated sums.
+def _invert(sr: SweepResult, target: str) -> np.ndarray:
+    """Fill ``sr.recovered`` and ``sr.recovered_wrap`` with ``target``'s values."""
+    formula, slope, rest_of = _TARGETS[target]
+    rest, right = rest_of(sr.template), FORMULAS[formula].rhs
+    vals = [(s - right(rest.shifted(tau))) / slope
+            for tau, s in zip(sr.taus.tolist(), sr.accelerated.tolist())]
+    sr.recovered = np.column_stack([sr.taus, vals])
+    sr.recovered_wrap = (sr.wrap_accelerated - right(rest.shifted(1.0))) / slope
+    return sr.recovered
 
-    Of p only the two scalars p0 and int p^2 are consumed, read from the
-    template.
-    """
+
+def recover_V(sr: SweepResult) -> np.ndarray:
+    """Pointwise V(tau) = q(tau) - p''(tau)/2 from the accelerated sums."""
     if sr.target not in ("V", "q"):
         raise PreconditionError("recover_V needs a sweep with target 'V' or 'q'")
-    fp = sr.template.p.functionals()
-    p0, big = fp.mean, fp.l2sq
-    vals = -2.0 * sr.accelerated - 0.5 * (big - p0 * p0)
-    sr.recovered = np.column_stack([sr.taus, vals])
-    sr.recovered_wrap = float(-2.0 * sr.wrap_accelerated - 0.5 * (big - p0 * p0))
-    return sr.recovered
+    return _invert(sr, "V")
 
 
 def recover_q(sr: SweepResult) -> np.ndarray:
-    """Pointwise q(tau) = V(tau) + p''(tau)/2, with p the template's."""
+    """Pointwise q(tau), with p the template's."""
     if sr.target not in ("V", "q"):
         raise PreconditionError("recover_q needs a sweep with target 'V' or 'q'")
-    recover_V(sr)
-    half_second = sr.template.p.derivative(2).scale(0.5)
-    vals = sr.recovered[:, 1] + half_second.evaluate(sr.taus)
-    sr.recovered = np.column_stack([sr.taus, vals])
-    sr.recovered_wrap = sr.recovered_wrap + half_second.evaluate(1.0)
-    return sr.recovered
+    return _invert(sr, "q")
 
 
 def recover_Q(sr: SweepResult) -> np.ndarray:
     """Pointwise Q(tau), or p(tau) for a second-order sweep."""
-    if sr.target == "Q":
-        vals = -2.0 * sr.accelerated
-        wrap = -2.0 * sr.wrap_accelerated
-    elif sr.target == "p_second_order":
-        vals = 2.0 * sr.accelerated
-        wrap = 2.0 * sr.wrap_accelerated
-    else:
+    if sr.target not in ("Q", "p_second_order"):
         raise PreconditionError("recover_Q needs target 'Q' or 'p_second_order'")
-    sr.recovered = np.column_stack([sr.taus, vals])
-    sr.recovered_wrap = float(wrap)
-    return sr.recovered
+    return _invert(sr, sr.target)
 
 
 def fit_trig(taus, values, max_harmonic: int) -> Coefficient:

@@ -21,7 +21,7 @@ def graded_eigvalsh(a):
     here would only add one more matrix to the peak memory.
     """
     a = np.asarray(a)
-    return np.sort(np.linalg.eigvalsh(a[::-1, ::-1]))
+    return np.linalg.eigvalsh(a[::-1, ::-1])
 
 
 def factored_eigvalsh(a, sigma: float):

@@ -80,6 +80,7 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "MEAN_TOL",
     "FIT_LO",
+    "check_acceleration",
     "check_basis_size",
     "check_preconditions",
     "spectra_for",
@@ -352,6 +353,19 @@ def check_preconditions(formula: FormulaId, coeffs: CoefficientSet) -> None:
             raise PreconditionError(f"{formula.value} requires " + must_be.format(c=name))
 
 
+def check_acceleration(formula: FormulaId, k: int, mode: str) -> None:
+    """Refuse, before any solve, K < 8, an unknown mode, or fourier without a model."""
+    formula = FormulaId(formula)
+    if k < 8:
+        raise PreconditionError("tail acceleration requires K >= 8")
+    if mode not in ("none", "richardson", "fourier"):
+        raise ValueError(f"unknown acceleration mode {mode!r}")
+    if mode == "fourier" and not FORMULAS[formula].fourier:
+        raise PreconditionError(
+            f"fourier tail model is not defined for {formula.value}; use richardson"
+        )
+
+
 def spectra_for(formula: FormulaId, coeffs: CoefficientSet, n: int, tau: float = 0.0):
     """Compute the spectra the formula's summand reads, keyed by role."""
     return {role: spectrum(_role_spec(role, coeffs, tau), n)
@@ -412,9 +426,8 @@ def tail_accelerate(
     returns S_k.
     """
     formula = FormulaId(formula)
+    check_acceleration(formula, k, mode)
     partial = np.asarray(partial, dtype=float)
-    if k < 8:
-        raise PreconditionError("tail acceleration requires K >= 8")
     if partial.size < k:
         raise ValueError("partial sums shorter than K")
     s_k = float(partial[k - 1])
@@ -423,12 +436,6 @@ def tail_accelerate(
     if mode == "richardson":
         m = k // 2
         return float(2.0 * partial[2 * m - 1] - partial[m - 1])
-    if mode != "fourier":
-        raise ValueError(f"unknown acceleration mode {mode!r}")
-    if not FORMULAS[formula].fourier:
-        raise PreconditionError(
-            f"fourier tail model is not defined for {formula.value}; use richardson"
-        )
     return FORMULAS[formula].tail(s_k, coeffs.shifted(tau), k)
 
 
@@ -492,6 +499,7 @@ def verify(
             coeffs = replace(coeffs, q=coeffs.q - Coefficient.constant(q0))
             q0_shift = q0
     check_preconditions(formula, coeffs)
+    check_acceleration(formula, k, mode)
     spectra = spectra_for(formula, coeffs, n, tau)
     parts = partial_sums(formula, spectra, coeffs, k)
     accelerated = tail_accelerate(formula, parts, coeffs, k, mode, tau)

@@ -6,14 +6,25 @@ can hold the library to the same outputs bit for bit:
 - ``square_spectrum``: ``spectrum`` as it assembled the whole 2n x 2n
   section and read its leading 2n x n columns and its diagonal;
 - ``numpy_scalar_cumsum``: the Neumaier loop over numpy scalars;
-- ``loop_localization``: the window and disc counts, one index at a time.
+- ``numpy_sum`` and ``numpy_scalar_product``: ``Coefficient`` addition as
+  numpy array sums, and the product-to-sum loop over numpy scalars;
+- ``loop_localization``: the window and disc counts, one index at a time;
+- ``hand_recover_V``, ``hand_recover_q``, ``hand_recover_Q``: the
+  recoveries with the IPR1, IP2 and GLF right sides written out by hand,
+
+      V(tau) = -2 S(tau) - (P - p0^2)/2        (fourth-order family)
+      q(tau) = V(tau) + p''(tau)/2             (known p)
+      Q(tau) = -2 S(tau)                       (squared family)
+      p(tau) = +2 S(tau)                       (second-order family, p0 = 0)
+
+  each returning (values on the grid, value at the wrap point tau = 1).
 """
 
 import math
 
 import numpy as np
 
-from sinespec import assemble_spec, factored_eigvalsh, graded_eigvalsh
+from sinespec import Coefficient, assemble_spec, factored_eigvalsh, graded_eigvalsh
 from sinespec.eigensolve import ROUNDING_C, TRUST_TOL_DEFAULT, factored_shift, trust_scale
 from sinespec.operators import KIND_SQUARE_PLUS_Q
 
@@ -61,6 +72,50 @@ def numpy_scalar_cumsum(terms):
     return out
 
 
+def numpy_sum(f, g):
+    """f + g, the amplitude arrays summed by numpy."""
+    deg = max(f.degree, g.degree)
+    u = np.zeros(deg + 1)
+    w = np.zeros(deg + 1)
+    for c in (f, g):
+        ua, wa = c._aligned()
+        u[: ua.size] += ua
+        w[: wa.size] += wa
+    return Coefficient(u=tuple(u), w=tuple(w[1:]))
+
+
+def numpy_scalar_product(f, g):
+    """f * g by the product-to-sum identities, one numpy scalar at a time."""
+    fu, fw = f._aligned()
+    gu, gw = g._aligned()
+    deg = f.degree + g.degree
+    u = np.zeros(deg + 1)
+    w = np.zeros(deg + 1)
+    for j in range(fu.size):
+        for k in range(gu.size):
+            s, d = j + k, abs(j - k)
+            cc = fu[j] * gu[k]
+            if cc != 0.0:
+                u[d] += 0.5 * cc
+                u[s] += 0.5 * cc
+            ss = fw[j] * gw[k]
+            if ss != 0.0:
+                u[d] += 0.5 * ss
+                u[s] -= 0.5 * ss
+            sc = fw[j] * gu[k]
+            if sc != 0.0:
+                w[s] += 0.5 * sc
+                if j != k:
+                    w[d] += 0.5 * math.copysign(1.0, j - k) * sc
+            cs = fu[j] * gw[k]
+            if cs != 0.0:
+                w[s] += 0.5 * cs
+                if j != k:
+                    w[d] += 0.5 * math.copysign(1.0, k - j) * cs
+    w[0] = 0.0
+    return Coefficient(u=tuple(u), w=tuple(w[1:]))
+
+
 def loop_localization(vals, horizon):
     """(n0, violations, disc_count) of the first ``horizon`` sorted values."""
     vals = np.asarray(vals[:horizon])
@@ -77,3 +132,22 @@ def loop_localization(vals, horizon):
             return n0, tuple((n, int(counts[n])) for n in bad if n > n0), disc
     disc = int(np.sum(np.abs(vals) < math.pi**4 * (horizon + 0.5) ** 4))
     return horizon, tuple((n, int(counts[n])) for n in bad), disc
+
+
+def hand_recover_V(sr):
+    fp = sr.template.p.functionals()
+    p0, big = fp.mean, fp.l2sq
+    vals = -2.0 * sr.accelerated - 0.5 * (big - p0 * p0)
+    wrap = float(-2.0 * sr.wrap_accelerated - 0.5 * (big - p0 * p0))
+    return vals, wrap
+
+
+def hand_recover_q(sr):
+    vals, wrap = hand_recover_V(sr)
+    half_second = sr.template.p.derivative(2).scale(0.5)
+    return vals + half_second.evaluate(sr.taus), wrap + half_second.evaluate(1.0)
+
+
+def hand_recover_Q(sr):
+    sign = -2.0 if sr.target == "Q" else 2.0
+    return sign * sr.accelerated, float(sign * sr.wrap_accelerated)

@@ -3,8 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from sinespec import Coefficient
+from sinespec import (
+    Coefficient,
+    KIND_SECOND_ORDER,
+    KIND_SQUARE_PLUS_Q,
+    OperatorSpec,
+    eigensolve,
+    recover_Q,
+    spectrum,
+    sweep,
+)
 from sinespec.cli import main
+
+COS2 = Coefficient.harmonic_cos(2)
+SIN2 = Coefficient.harmonic_sin(2)
 
 
 def write_coeff(tmp_path, name, u=(0.0,), w=()):
@@ -352,3 +364,30 @@ def test_json_report_key_order(tmp_path, capsys, cos2, argv, keys):
     text = out_path.read_text()
     assert list(json.loads(text)) == keys
     assert text.endswith("}\n")
+
+
+@pytest.mark.parametrize(
+    "target, template",
+    [("Q", OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2)),
+     ("p2", OperatorSpec(KIND_SECOND_ORDER, p=COS2))],
+)
+def test_sweep_recover_Q_and_p2_csv_match_library(tmp_path, cos2, target, template):
+    flags = ["--Q", write_coeff(tmp_path, "sin2.json", w=(0.0, 1.0))] if target == "Q" else []
+    out_path = tmp_path / "rec.csv"
+    code = main(["sweep", "--recover", target, "--p", cos2, *flags,
+                 "--grid", "4", "-N", "64", "-K", "16", "--out", str(out_path)])
+    assert code == 0
+    library = recover_Q(sweep(template, 4, n=64, k=16))
+    rows = [row.split(",") for row in out_path.read_text().strip().splitlines()[1:]]
+    assert [f"{float(row[1]):.17g}" for row in rows] == [f"{v:.17g}" for v in library[:, 1]]
+
+
+def test_trq0_fourier_refused_before_any_assembly(monkeypatch, capsys, cos2):
+    calls = []
+    real = eigensolve.assemble_spec
+    monkeypatch.setattr(eigensolve, "assemble_spec",
+                        lambda spec, n, rows=None: calls.append(n) or real(spec, n, rows))
+    spectrum.cache_clear()
+    assert main(["trace", "--formula", "TRQ0", "--p", cos2, "-N", "64", "-K", "16"]) == 2
+    assert "fourier tail model is not defined" in capsys.readouterr().err
+    assert calls == []

@@ -2,8 +2,8 @@
 
 Each is held to the path it replaced (``reference_paths``) or to its own
 undecorated function: the 2n x n block ``spectrum`` assembles, the memo
-caches, the compensated sum over Python floats and the searchsorted
-localization counts.  The last test checks the traffic of the memo
+caches, coefficient sums and products and the compensated sum over Python
+floats, and the searchsorted localization counts.  The last test checks the traffic of the memo
 caches: a repeated panel pass computes nothing again.
 """
 
@@ -18,7 +18,13 @@ import pytest
 from hypothesis import example, given
 
 from conftest import coefficients
-from reference_paths import loop_localization, numpy_scalar_cumsum, square_spectrum
+from reference_paths import (
+    loop_localization,
+    numpy_scalar_cumsum,
+    numpy_scalar_product,
+    numpy_sum,
+    square_spectrum,
+)
 from sinespec import (
     Coefficient,
     KIND_FOURTH_ORDER,
@@ -159,6 +165,19 @@ def test_endpoint_tail_memo_matches_wrapped(g, k):
 @given(st.integers(1, 300))
 def test_zeta2_tail_memo_matches_wrapped(k):
     memo_matches_wrapped(traces._zeta2_tail, k)
+
+
+# -- coefficient sums and products over Python floats ---------------------------------
+
+SIGNED_ZEROS = Coefficient(u=(-0.0, 1.5, -0.0, 0.25), w=(-0.0, 0.0, 2.0))
+
+
+@given(coefficients(max_degree=6), coefficients(max_degree=6))
+@example(SIGNED_ZEROS, SIGNED_ZEROS.scale(-1.0))
+@example(Coefficient(u=(1e-300, -1e150), w=(1e150,)), Coefficient(u=(-1e-300, 1e150), w=(-0.0,)))
+def test_sum_and_product_match_numpy_loops(f, g):
+    assert bits(f + g) == bits(numpy_sum(f, g))
+    assert bits(f * g) == bits(numpy_scalar_product(f, g))
 
 
 # -- compensated summation ---------------------------------------------------------------

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
 
+from conftest import coefficients
+from reference_paths import hand_recover_Q, hand_recover_V, hand_recover_q
 from sinespec import (
     Coefficient,
     KIND_FOURTH_ORDER,
     KIND_SECOND_ORDER,
     KIND_SQUARE_PLUS_Q,
     OperatorSpec,
+    CoefficientSet,
+    FormulaId,
     PreconditionError,
     ZERO,
     fit_trig,
@@ -17,6 +22,7 @@ from sinespec import (
     recover_q,
     spectrum,
     sweep,
+    verify,
 )
 
 PI = math.pi
@@ -183,3 +189,55 @@ def test_sweep_defaults_to_fourier(template, target):
     assert default.mode == "fourier"
     assert np.array_equal(default.accelerated, explicit.accelerated)
     assert default.wrap_accelerated == explicit.wrap_accelerated
+
+
+# -- recovery inverts the formula table: the hand-written inversions agree --------
+
+
+def zero_mean(f):
+    """f less its constant term: for a 1-periodic f, the zero-mean part."""
+    return Coefficient(u=(0.0,) + tuple(f.u[1:]), w=f.w)
+
+
+def swept(template, target):
+    try:
+        return sweep(template, 4, n=32, k=8, target=target)
+    except PreconditionError:
+        assume(False)  # trust horizon below K at this small N
+
+
+@given(coefficients(max_degree=4, periodic=True), coefficients(max_degree=4, periodic=True))
+def test_recovery_matches_hand_inversions(p, f):
+    fourth = OperatorSpec(KIND_FOURTH_ORDER, p=p, q=zero_mean(f))
+    cases = [
+        (swept(fourth, "q"), recover_q, hand_recover_q, False),
+        (swept(fourth, "V"), recover_V, hand_recover_V, False),
+        (swept(OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=zero_mean(f)), "Q"),
+         recover_Q, hand_recover_Q, True),
+        (swept(OperatorSpec(KIND_SECOND_ORDER, p=zero_mean(p)), "p_second_order"),
+         recover_Q, hand_recover_Q, True),
+    ]
+    for sr, recover, hand, bitwise in cases:
+        want, want_wrap = hand(sr)
+        got = recover(sr)
+        assert np.array_equal(got[:, 0], sr.taus)
+        if bitwise:
+            assert got[:, 1].tobytes() == want.tobytes()
+            assert sr.recovered_wrap == want_wrap
+        else:
+            assert np.all(np.abs(got[:, 1] - want) <= 1e-13 * (1.0 + np.abs(want)))
+            assert abs(sr.recovered_wrap - want_wrap) <= 1e-13 * (1.0 + abs(want_wrap))
+
+
+@pytest.mark.parametrize(
+    "template, target, formula",
+    [
+        (OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2), "q", FormulaId.IPR1),
+        (OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2), "Q", FormulaId.IP2),
+    ],
+)
+def test_sweep_accelerated_equals_verify(template, target, formula):
+    sr = sweep(template, 4, n=64, k=16, target=target)
+    cs = CoefficientSet(p=template.p, q=template.q, Q=template.Q)
+    for tau, acc in zip([*sr.taus.tolist(), 1.0], [*sr.accelerated.tolist(), sr.wrap_accelerated]):
+        assert acc == verify(formula, cs, n=64, k=16, mode=sr.mode, tau=tau).accelerated

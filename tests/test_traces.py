@@ -34,6 +34,7 @@ from sinespec import (
     tail_accelerate,
     verify,
 )
+from sinespec import eigensolve
 from sinespec.cli import _write_report, main
 from sinespec.traces import FORMULAS, _second_order_constant
 
@@ -244,6 +245,32 @@ def test_fourier_mode_rejected_for_trq0():
 def test_small_k_rejected():
     with pytest.raises(PreconditionError):
         tail_accelerate(FormulaId.GLF, np.zeros(8), CoefficientSet(), 4)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: verify(FormulaId.GLF, CoefficientSet(p=COS2), n=256, k=4), PreconditionError),
+        (lambda: verify(FormulaId.TRQ0, CoefficientSet(p=COS2), n=64, k=16), PreconditionError),
+        (lambda: verify(FormulaId.GLF, CoefficientSet(p=COS2), n=64, k=16, mode="exact"),
+         ValueError),
+        (lambda: sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2), 4, n=64, k=4),
+         PreconditionError),
+        (lambda: sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2), 4, n=64, k=16,
+                       mode="exact"), ValueError),
+    ],
+    ids=["verify-small-k", "verify-trq0-fourier", "verify-bad-mode", "sweep-small-k",
+         "sweep-bad-mode"],
+)
+def test_acceleration_refused_before_any_assembly(monkeypatch, call, error):
+    calls = []
+    real = eigensolve.assemble_spec
+    monkeypatch.setattr(eigensolve, "assemble_spec",
+                        lambda spec, n, rows=None: calls.append(n) or real(spec, n, rows))
+    spectrum.cache_clear()
+    with pytest.raises(error):
+        call()
+    assert calls == []
 
 
 # -- verify ---------------------------------------------------------------------------
