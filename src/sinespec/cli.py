@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from enum import Enum
 
@@ -106,9 +107,20 @@ def _coeffs(args: argparse.Namespace) -> CoefficientSet:
 
 
 def _operator_spec(args: argparse.Namespace, kind: str) -> OperatorSpec:
-    cs = _coeffs(args)
     # sweep takes no --tau: its template sits at tau = 0
-    return OperatorSpec(kind, p=cs.p, q=cs.q, Q=cs.Q, tau=getattr(args, "tau", 0.0))
+    cs = _coeffs(args).shifted(getattr(args, "tau", 0.0))
+    return OperatorSpec(kind, p=cs.p, q=cs.q, Q=cs.Q)
+
+
+def _tolerance(text: str) -> float:
+    """--tol: a finite positive float, or a usage error."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite positive number: {text!r}")
+    return tol
 
 
 def _json_value(v):
@@ -271,7 +283,7 @@ _SHARED = {
     },
     "--out": {"help": "report file path"},
     "--format": {"choices": ("csv", "json"), "default": "csv"},
-    "--tol": {"type": float, "default": None, "help": "override verification tolerance"},
+    "--tol": {"type": _tolerance, "default": None, "help": "override verification tolerance"},
 }
 
 

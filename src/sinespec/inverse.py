@@ -1,9 +1,11 @@
 """Circle-shift sweeps and recovery of coefficient functions from spectra.
 
-A sweep solves the shifted operator family on a uniform tau grid and
-accelerates the matching regularized trace sum S(tau) at every grid
-point.  Recovery inverts the formula's own right side (``traces.FORMULAS``),
-which at a shift tau is affine in the target's value there:
+A sweep shifts the template's coefficients to each point of a uniform
+tau grid (``CoefficientSet.shifted``, the one place a shift is applied),
+solves the operators of the shifted set and accelerates the matching
+regularized trace sum S(tau) there.  Recovery inverts the formula's own
+right side (``traces.FORMULAS``), which on the set shifted by tau is
+affine in the target's value at tau:
 value(tau) = (S(tau) - rhs(rest shifted by tau)) / slope, ``rest`` being
 the coefficients with the target removed (for V: q := p''/2, where V = 0).
 
@@ -94,10 +96,10 @@ class SweepResult:
         return float(abs(self.recovered_wrap - self.recovered[0, 1]))
 
 
-def _accelerated_at(formula, coeffs, n, k, mode, tau):
-    spectra = spectra_for(formula, coeffs, n, tau)
+def _accelerated_at(formula, coeffs, n, k, mode):
+    spectra = spectra_for(formula, coeffs, n)
     parts = partial_sums(formula, spectra, coeffs, k)
-    acc = tail_accelerate(formula, parts, coeffs, k, mode, tau)
+    acc = tail_accelerate(formula, parts, coeffs, k, mode)
     return spectra, float(acc)
 
 
@@ -112,8 +114,6 @@ def sweep(
     """Solve the shifted family on a uniform grid of tau in [0, 1)."""
     if grid_size < 4:
         raise PreconditionError("sweep grid must have at least 4 points")
-    if template.tau != 0.0:
-        raise PreconditionError("sweep template must carry tau = 0")
     check_basis_size(n, k)
     if target is None:
         target = next(t for t in _TARGETS if target_kind(t) == template.kind)
@@ -123,10 +123,6 @@ def sweep(
         raise PreconditionError(
             f"target {target!r} needs operator kind {target_kind(target)!r}"
         )
-    for name in ("p", "q", "Q"):
-        f = getattr(template, name)
-        if not f.is_zero() and not f.is_one_periodic():
-            raise PreconditionError(f"sweep requires 1-periodic {name}")
     formula = _TARGETS[target][0]
     coeffs = CoefficientSet(p=template.p, q=template.q, Q=template.Q)
     check_preconditions(formula, coeffs)
@@ -135,12 +131,15 @@ def sweep(
     check_acceleration(formula, k, mode)
 
     taus = np.arange(grid_size, dtype=float) / grid_size
+    # the coefficients at each grid point and at the wrap point tau = 1,
+    # shifted before any solve, so that a non-periodic one is refused first
+    *points, wrap = [coeffs.shifted(tau) for tau in [*taus.tolist(), 1.0]]
     spectra_list = []
     acc = np.empty(grid_size)
     trust = np.empty(grid_size, dtype=int)
     primary = FORMULAS[formula].roles[0]
-    for i, tau in enumerate(taus):
-        spectra, acc[i] = _accelerated_at(formula, coeffs, n, k, mode, float(tau))
+    for i, shifted in enumerate(points):
+        spectra, acc[i] = _accelerated_at(formula, shifted, n, k, mode)
         spectra_list.append(spectra)
         trust[i] = min(s.n_trusted for s in spectra.values())
     # one branch count for the whole grid so the tracked sum is comparable
@@ -149,7 +148,7 @@ def sweep(
     else:
         n0 = max(1, localization(spectra_list[0][primary]).n0)
     sum_branch = np.array([specs[primary].vals[:n0].sum() for specs in spectra_list])
-    _, wrap_acc = _accelerated_at(formula, coeffs, n, k, mode, 1.0)
+    _, wrap_acc = _accelerated_at(formula, wrap, n, k, mode)
     return SweepResult(
         target=target,
         template=template,

@@ -134,18 +134,17 @@ def assemble_h2_plus_Q(p: Coefficient, Q: Coefficient, n: int,
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """One operator of the family: kind, coefficients, and circle shift tau.
+    """One operator of the family: its kind and coefficients.
 
     Coefficient slots the kind does not read must stay at zero: q for h and
-    h^2+Q, Q for h.  A nonzero shift requires every nonzero coefficient to
-    be 1-periodic.
+    h^2+Q, Q for h.  An operator of the circle-shifted family is the spec of
+    shifted coefficients (``traces.CoefficientSet.shifted``).
     """
 
     kind: str
     p: Coefficient = ZERO
     q: Coefficient = ZERO
     Q: Coefficient = ZERO
-    tau: float = 0.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -153,44 +152,24 @@ class OperatorSpec:
         for name in ("p", "q", "Q"):
             if name not in _READS[self.kind] and not getattr(self, name).is_zero():
                 raise PreconditionError(f"operator kind {self.kind!r} takes no {name}")
-        if self.tau != 0.0:
-            for name in ("p", "q", "Q"):
-                f = getattr(self, name)
-                if not f.is_zero() and not f.is_one_periodic():
-                    raise PreconditionError(
-                        f"shifted operator requires 1-periodic {name} "
-                        "(all odd-frequency amplitudes must vanish)"
-                    )
-
-    def shifted_coefficients(self):
-        if self.tau == 0.0:
-            return self.p, self.q, self.Q
-        return (
-            self.p.shift(self.tau),
-            self.q.shift(self.tau),
-            self.Q.shift(self.tau),
-        )
 
     def fourth_order_q(self) -> Coefficient:
-        """q_eff of the fourth-order form H(p, q_eff) of this kind at its
-        shift: q + Q for H+Q, p'' + p^2 + Q for h^2+Q, and p'' + p^2 for h,
-        the form of h^2."""
-        p, q, Q = self.shifted_coefficients()
+        """q_eff of the fourth-order form H(p, q_eff) of this kind: q + Q for
+        H+Q, p'' + p^2 + Q for h^2+Q, and p'' + p^2 for h, the form of h^2."""
         if self.kind == KIND_FOURTH_ORDER:
-            return q + Q
-        square = p.derivative(2) + p * p
-        return square if self.kind == KIND_SECOND_ORDER else square + Q
+            return self.q + self.Q
+        square = self.p.derivative(2) + self.p * self.p
+        return square if self.kind == KIND_SECOND_ORDER else square + self.Q
 
 
 def assemble_spec(spec: OperatorSpec, n: int, rows: int | None = None) -> np.ndarray:
-    """Shift the coefficients, then dispatch to the matching assembler: the
-    section at n, or given ``rows``, its columns 1..n in rows 1..rows."""
-    p, _, Q = spec.shifted_coefficients()
+    """Dispatch to the matching assembler: the section at n, or given
+    ``rows``, its columns 1..n in rows 1..rows."""
     if spec.kind == KIND_SECOND_ORDER:
-        return assemble_h(p, n, rows)
+        return assemble_h(spec.p, n, rows)
     if spec.kind == KIND_SQUARE_PLUS_Q:
-        return assemble_h2_plus_Q(p, Q, n, rows)
-    return assemble_H(p, spec.fourth_order_q(), n, rows)
+        return assemble_h2_plus_Q(spec.p, spec.Q, n, rows)
+    return assemble_H(spec.p, spec.fourth_order_q(), n, rows)
 
 
 def assemble_diagonal(spec: OperatorSpec, n: int) -> np.ndarray:
@@ -201,7 +180,7 @@ def assemble_diagonal(spec: OperatorSpec, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("basis size must be at least 1")
     idx = np.arange(1, n + 1, dtype=float)
-    cp = spec.shifted_coefficients()[0].cosine_coeffs(2 * n)
+    cp = spec.p.cosine_coeffs(2 * n)
     if spec.kind == KIND_SECOND_ORDER:
         return np.negative(cp[0] - cp[2::2]) + (np.pi * idx) ** 2
     cq = spec.fourth_order_q().cosine_coeffs(2 * n)

@@ -37,9 +37,11 @@ for q (q0 = int q_eff shifts every eigenvalue by q0):
 so one summand, one right side and one ``fourier`` tail, -c_2n(V) + C/n^2
 per term, serve all eight.  ``FORMULAS`` holds one entry per id: GLF
 with its own summand, right side and tail, and for the others only the
-signed roles, the tolerance and the hypotheses.  At a shift tau every
-identity reads the spectra of the shifted operators; the right sides
-stated at tau = 0 are then evaluated on the shifted coefficients.
+signed roles, the tolerance and the hypotheses.  A circle shift is a
+property of the coefficients, f(x) -> f(x + tau), and is applied once,
+by ``CoefficientSet.shifted``: at a shift tau, ``verify`` reads the
+spectra, summand, tail and right side of the shifted set, and a right
+side stated at x = 0, 1 is read at tau, as in IPR1 and IP2.
 
 Counterterms are evaluated in the expanded form
 mu_n - (pi n)^4 + 2 p0 (pi n)^2 - p0^2 to limit cancellation, and the
@@ -120,8 +122,19 @@ class CoefficientSet:
     Q: Coefficient = ZERO
 
     def shifted(self, tau: float) -> "CoefficientSet":
+        """The set shifted on the circle, f(x) -> f(x + tau mod 1): the one
+        place a shift is applied.  A nonzero shift needs a finite tau and
+        1-periodic coefficients."""
+        if not math.isfinite(tau):
+            raise PreconditionError(f"circle shift tau={tau} must be finite")
         if tau == 0.0:
             return self
+        for name in ("p", "q", "Q"):
+            if not getattr(self, name).is_one_periodic():
+                raise PreconditionError(
+                    f"circle shift requires 1-periodic {name} "
+                    "(all odd-frequency amplitudes must vanish)"
+                )
         return CoefficientSet(p=self.p.shift(tau), q=self.q.shift(tau), Q=self.Q.shift(tau))
 
     def digest(self) -> str:
@@ -155,10 +168,10 @@ def _expanded(x, p0: float, z2):
     return x - z2 * z2 + 2.0 * p0 * z2
 
 
-def _role_spec(role: str, cs: CoefficientSet, tau: float = 0.0) -> OperatorSpec:
+def _role_spec(role: str, cs: CoefficientSet) -> OperatorSpec:
     """The operator whose spectrum ``role`` reads, from the coefficients it takes."""
     kind, names = ROLES[role]
-    return OperatorSpec(kind, tau=tau, **{name: getattr(cs, name) for name in names})
+    return OperatorSpec(kind, **{name: getattr(cs, name) for name in names})
 
 
 @functools.lru_cache(maxsize=256)
@@ -366,9 +379,9 @@ def check_acceleration(formula: FormulaId, k: int, mode: str) -> None:
         )
 
 
-def spectra_for(formula: FormulaId, coeffs: CoefficientSet, n: int, tau: float = 0.0):
+def spectra_for(formula: FormulaId, coeffs: CoefficientSet, n: int):
     """Compute the spectra the formula's summand reads, keyed by role."""
-    return {role: spectrum(_role_spec(role, coeffs, tau), n)
+    return {role: spectrum(_role_spec(role, coeffs), n)
             for role in FORMULAS[FormulaId(formula)].roles}
 
 
@@ -398,11 +411,11 @@ def partial_sums(formula: FormulaId, spectra, coeffs: CoefficientSet, k: int) ->
     return compensated_cumsum(_summands(formula, spectra, coeffs, k))
 
 
-def rhs(formula: FormulaId, coeffs: CoefficientSet, tau: float = 0.0) -> float:
-    """Closed-form right side of the chosen identity at shift tau."""
+def rhs(formula: FormulaId, coeffs: CoefficientSet) -> float:
+    """Closed-form right side of the chosen identity."""
     formula = FormulaId(formula)
     check_preconditions(formula, coeffs)
-    return FORMULAS[formula].rhs(coeffs.shifted(tau))
+    return FORMULAS[formula].rhs(coeffs)
 
 
 def tail_accelerate(
@@ -411,7 +424,6 @@ def tail_accelerate(
     coeffs: CoefficientSet,
     k: int,
     mode: str = "fourier",
-    tau: float = 0.0,
 ) -> float:
     """Accelerated limit of the trace sum from its partial sums.
 
@@ -436,7 +448,7 @@ def tail_accelerate(
     if mode == "richardson":
         m = k // 2
         return float(2.0 * partial[2 * m - 1] - partial[m - 1])
-    return FORMULAS[formula].tail(s_k, coeffs.shifted(tau), k)
+    return FORMULAS[formula].tail(s_k, coeffs, k)
 
 
 @dataclass(frozen=True)
@@ -479,11 +491,13 @@ def verify(
 ) -> TraceReport:
     """Full verification: spectra, partial sums, acceleration, gap, rate.
 
-    ``center_q`` replaces q by q - q0 before checking hypotheses (the
-    eigenvalues shift by exactly -q0); the applied shift is recorded.  It
-    applies only where the identity demands a zero-mean q, and is refused
-    elsewhere.  By default a nonzero-mean q is rejected where the identity
-    demands a zero mean.
+    The hypotheses, which no shift changes, are checked on ``coeffs``;
+    everything else reads ``coeffs.shifted(tau)``.  ``center_q`` replaces
+    q by q - q0 before checking hypotheses (the eigenvalues shift by
+    exactly -q0); the applied shift is recorded.  It applies only where
+    the identity demands a zero-mean q, and is refused elsewhere.  By
+    default a nonzero-mean q is rejected where the identity demands a
+    zero mean.
     """
     formula = FormulaId(formula)
     check_basis_size(n, k)
@@ -500,13 +514,14 @@ def verify(
             q0_shift = q0
     check_preconditions(formula, coeffs)
     check_acceleration(formula, k, mode)
-    spectra = spectra_for(formula, coeffs, n, tau)
-    parts = partial_sums(formula, spectra, coeffs, k)
-    accelerated = tail_accelerate(formula, parts, coeffs, k, mode, tau)
-    right = rhs(formula, coeffs, tau)
     digest = coeffs.digest() + f" tau={tau:g}"
     if q0_shift:
         digest += f" q0_shift={q0_shift:.17g}"
+    coeffs = coeffs.shifted(tau)
+    spectra = spectra_for(formula, coeffs, n)
+    parts = partial_sums(formula, spectra, coeffs, k)
+    accelerated = tail_accelerate(formula, parts, coeffs, k, mode)
+    right = rhs(formula, coeffs)
     return TraceReport(
         formula=formula,
         k_used=k,
@@ -545,7 +560,7 @@ def asym_residuals(spec: OperatorSpec, n: int = 256, k: int = 64) -> Asymptotics
     Returns r_1..r_k together with ``fitted_c``, the mean of m^2 |r_m| over
     m in [FIT_LO, k]: the magnitude of C in r_m ~ C / m^2, without its
     sign (0.745 for p = cos 2 pi x), and ``derived_c``, the signed C that
-    second-order perturbation theory derives for the shifted (p, q + Q)
+    second-order perturbation theory derives for (p, q + Q)
     (-0.75 there).  The expansion holds when it is finite and stable
     under refinement.  r_m is the TRF3 summand with the spec's
     ``fourth_order_q``, q + Q, in place of q, plus the m-th even cosine
@@ -558,7 +573,7 @@ def asym_residuals(spec: OperatorSpec, n: int = 256, k: int = 64) -> Asymptotics
         raise PreconditionError(f"K={k} is below the fit start {FIT_LO}")
     s = spectrum(spec, n)
     s.require_trusted(k)
-    cs = CoefficientSet(p=spec.shifted_coefficients()[0], q=spec.fourth_order_q())
+    cs = CoefficientSet(p=spec.p, q=spec.fourth_order_q())
     ns = np.arange(1, k + 1, dtype=float)
     z2 = (np.pi * ns) ** 2
     trf3 = FORMULAS[FormulaId.TRF3]

@@ -2,7 +2,7 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from sinespec import Coefficient
+from sinespec import Coefficient, CoefficientSet, OperatorSpec
 
 settings.register_profile(
     "suite",
@@ -25,6 +25,12 @@ def coefficients(draw, max_degree=6, periodic=False):
             u[j] = 0.0
             w[j - 1] = 0.0
     return Coefficient(u=tuple(u), w=tuple(w))
+
+
+def shifted_spec(kind, tau, **coeffs):
+    """The operator of ``kind`` on the coefficients shifted by tau."""
+    cs = CoefficientSet(**coeffs).shifted(tau)
+    return OperatorSpec(kind, p=cs.p, q=cs.q, Q=cs.Q)
 
 
 def simpson_integral(values, h):

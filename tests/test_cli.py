@@ -135,6 +135,38 @@ def test_bad_input_exits_2_with_message(capsys, cos2, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [["trace", "--formula", "IPR1", "--q", "SIN2", "-N", "64", "-K", "16"],
+     ["spectrum", "--q", "SIN2", "-N", "32"]],
+    ids=["trace", "spectrum"],
+)
+def test_non_finite_tau_exits_2_with_message(tmp_path, capsys, cos2, argv, tau):
+    sin2 = write_coeff(tmp_path, "sin2.json", w=(0.0, 1.0))
+    argv = [sin2 if a == "SIN2" else a for a in argv]
+    assert main(argv + ["--p", cos2, f"--tau={tau}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "abc"])
+@pytest.mark.parametrize(
+    "argv",
+    [["trace", "--formula", "TRF3", "-N", "32", "-K", "16"],
+     ["dispute", "--variant", "DikiiTrfD1", "-N", "32", "-K", "16"]],
+    ids=["trace", "dispute"],
+)
+def test_tol_must_be_finite_and_positive(capsys, cos2, argv, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--p", cos2, f"--tol={tol}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "tolerance must be a finite positive number" in err
+    assert "Traceback" not in err
+
+
 def test_spectrum_command_writes_csv(tmp_path, capsys, one):
     out_path = tmp_path / "spec.csv"
     code = main(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import coefficients, random_symmetric
+from conftest import coefficients, random_symmetric, shifted_spec
 from reference_eigensolvers import jacobi_eigenvalues, tridiag_eigenvalues, tridiagonalize
 from reference_square import graded_eigh
 from sinespec import eigensolve
@@ -266,7 +266,7 @@ def operator_specs(draw):
     p = draw(coefficients(max_degree=3, periodic=periodic))
     q = draw(coefficients(max_degree=3, periodic=periodic)) if kind == KIND_FOURTH_ORDER else ZERO
     Q = draw(coefficients(max_degree=3, periodic=periodic)) if kind != KIND_SECOND_ORDER else ZERO
-    return OperatorSpec(kind, p=p, q=q, Q=Q, tau=tau)
+    return shifted_spec(kind, tau, p=p, q=q, Q=Q)
 
 
 def _bits(value):
@@ -392,7 +392,7 @@ def test_factored_shift_bounds_every_section_below(spec):
 
 def _h2q_vals_as_first_solved(spec, n):
     # the h^2+Q solve as it stood before the error estimate moved off the
-    # 2N solve: shift 1 + sum |u_j| + sum |w_j| of the unshifted Q
+    # 2N solve: shift 1 + sum |u_j| + sum |w_j| of the operator's Q
     sigma = 1.0 + sum(abs(x) for x in spec.Q.u + spec.Q.w)
     return factored_eigvalsh(eigensolve.assemble_spec(spec, 2 * n)[:n, :n], sigma)
 
@@ -400,7 +400,7 @@ def _h2q_vals_as_first_solved(spec, n):
 @pytest.mark.parametrize("spec", [
     OperatorSpec(KIND_SQUARE_PLUS_Q, Q=COS2),
     OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=COS2),
-    OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=Coefficient.harmonic_sin(2), tau=0.25),
+    shifted_spec(KIND_SQUARE_PLUS_Q, 0.25, p=COS2, Q=Coefficient.harmonic_sin(2)),
 ])
 def test_h2_plus_Q_panel_values_keep_their_bits(spec):
     got = spectrum(spec, 256).vals
@@ -411,7 +411,7 @@ def test_h2_plus_Q_panel_values_keep_their_bits(spec):
        st.sampled_from([0.0, 0.3]))
 @settings(max_examples=15)
 def test_h2_plus_Q_values_keep_their_bits(p, Q, tau):
-    spec = OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=Q, tau=tau)
+    spec = shifted_spec(KIND_SQUARE_PLUS_Q, tau, p=p, Q=Q)
     got = spectrum(spec, 64).vals
     assert got.tobytes() == _h2q_vals_as_first_solved(spec, 64).tobytes()
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 
-from conftest import coefficients
+from conftest import coefficients, shifted_spec
 from reference_paths import (
     loop_localization,
     numpy_scalar_cumsum,
@@ -70,10 +70,10 @@ def specs(shifted):
     q = SIN2 if shifted else SIN3 + COS2
     Q = COS4 - COS2.scale(0.25) if shifted else COS1.scale(0.75)
     return [
-        OperatorSpec(KIND_SECOND_ORDER, p=p, tau=tau),
-        OperatorSpec(KIND_FOURTH_ORDER, p=p, q=q, tau=tau),
-        OperatorSpec(KIND_FOURTH_ORDER, p=p, q=q, Q=Q, tau=tau),
-        OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=Q, tau=tau),
+        shifted_spec(KIND_SECOND_ORDER, tau, p=p),
+        shifted_spec(KIND_FOURTH_ORDER, tau, p=p, q=q),
+        shifted_spec(KIND_FOURTH_ORDER, tau, p=p, q=q, Q=Q),
+        shifted_spec(KIND_SQUARE_PLUS_Q, tau, p=p, Q=Q),
     ]
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 
-from conftest import coefficients
+from conftest import coefficients, shifted_spec
 from reference_paths import hand_recover_Q, hand_recover_V, hand_recover_q
+from sinespec import eigensolve
 from sinespec import (
     Coefficient,
     KIND_FOURTH_ORDER,
@@ -38,7 +39,7 @@ def test_sweep_constant_coefficients_shift_invariant():
 
 
 def test_sweep_half_shift_equals_negated_sine_q():
-    spec_shift = spectrum(OperatorSpec(KIND_FOURTH_ORDER, q=SIN2, tau=0.5), 32)
+    spec_shift = spectrum(shifted_spec(KIND_FOURTH_ORDER, 0.5, q=SIN2), 32)
     spec_neg = spectrum(OperatorSpec(KIND_FOURTH_ORDER, q=SIN2.scale(-1.0)), 32)
     assert np.max(np.abs(spec_shift.vals[:16] - spec_neg.vals[:16])) < 1e-6
 
@@ -47,7 +48,7 @@ def test_half_shift_of_even_cos_p_changes_the_spectrum():
     # p(x + 1/2) = -p(x) for p = cos(2 pi x); the sign flip moves the lowest
     # eigenvalue by about 2 pi^2 (regression values from refined runs)
     s0 = spectrum(OperatorSpec(KIND_FOURTH_ORDER, p=COS2), 128)
-    s5 = spectrum(OperatorSpec(KIND_FOURTH_ORDER, p=COS2, tau=0.5), 128)
+    s5 = spectrum(shifted_spec(KIND_FOURTH_ORDER, 0.5, p=COS2), 128)
     assert s0.val(1) == pytest.approx(87.42712536, abs=1e-4)
     assert s5.val(1) == pytest.approx(107.16604917, abs=1e-4)
     assert s5.val(1) - s0.val(1) == pytest.approx(19.7389238, abs=1e-3)
@@ -61,6 +62,19 @@ def test_sweep_rejects_small_grid_and_bad_inputs():
         sweep(OperatorSpec(KIND_FOURTH_ORDER, p=Coefficient.harmonic_cos(1)), 4, n=16, k=8)
     with pytest.raises(PreconditionError):
         sweep(OperatorSpec(KIND_FOURTH_ORDER, q=Coefficient.constant(1.0)), 4, n=16, k=8)
+
+
+def test_sweep_refuses_a_non_periodic_coefficient_by_name_before_any_solve(monkeypatch):
+    # IP2 places no hypothesis on p, so the shift itself refuses it
+    calls = []
+    real = eigensolve.assemble_spec
+    monkeypatch.setattr(eigensolve, "assemble_spec",
+                        lambda spec, n, rows=None: calls.append(n) or real(spec, n, rows))
+    spectrum.cache_clear()
+    template = OperatorSpec(KIND_SQUARE_PLUS_Q, p=Coefficient.harmonic_cos(1), Q=SIN2)
+    with pytest.raises(PreconditionError, match="requires 1-periodic p "):
+        sweep(template, 4, n=16, k=8, target="Q")
+    assert calls == []
 
 
 def test_q_sweep_rejects_Q():

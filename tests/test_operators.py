@@ -5,7 +5,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import coefficients
+from conftest import coefficients, shifted_spec
 from reference_square import padded_h2_plus_Q, padded_spectrum
 from sinespec import (
     Coefficient,
@@ -198,16 +198,8 @@ def test_cross_path_identity_fourth_order_vs_squared():
 
 
 def test_spec_fourth_order_zero_with_shift():
-    a = assemble_spec(OperatorSpec(KIND_FOURTH_ORDER, tau=0.3), 3)
+    a = assemble_spec(shifted_spec(KIND_FOURTH_ORDER, 0.3), 3)
     assert np.allclose(a, np.diag([(PI * n) ** 4 for n in (1, 2, 3)]), atol=0)
-
-
-def test_spec_shift_matches_explicit_shift():
-    shifted = assemble_spec(OperatorSpec(KIND_SECOND_ORDER, p=SIN2, tau=0.25), 8)
-    direct = assemble_h(SIN2.shift(0.25), 8)
-    assert np.array_equal(shifted, direct)
-    explicit = assemble_h(COS2, 8)
-    assert np.max(np.abs(shifted - explicit)) < 1e-12
 
 
 def test_spec_square_plus_q_with_zero_Q_is_H_at_p2_plus_p_squared_bit_for_bit():
@@ -221,11 +213,6 @@ def test_spec_fourth_order_adds_q_and_Q():
     assert np.array_equal(merged, direct)
 
 
-def test_spec_rejects_shift_of_non_periodic():
-    with pytest.raises(PreconditionError):
-        OperatorSpec(KIND_SECOND_ORDER, p=Coefficient.harmonic_cos(1), tau=0.5)
-
-
 @pytest.mark.parametrize("n", [1, 7, 16, 33])
 @pytest.mark.parametrize("tau", [0.0, 0.3])
 @given(data=st.data())
@@ -235,9 +222,9 @@ def test_leading_block_of_the_2n_assembly_is_the_n_assembly_bit_for_bit(data, ta
     draw = coefficients(max_degree=5, periodic=tau != 0.0)
     p, q, Q = data.draw(draw), data.draw(draw), data.draw(draw)
     for spec in (
-        OperatorSpec(KIND_SECOND_ORDER, p=p, tau=tau),
-        OperatorSpec(KIND_FOURTH_ORDER, p=p, q=q, Q=Q, tau=tau),
-        OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=Q, tau=tau),
+        shifted_spec(KIND_SECOND_ORDER, tau, p=p),
+        shifted_spec(KIND_FOURTH_ORDER, tau, p=p, q=q, Q=Q),
+        shifted_spec(KIND_SQUARE_PLUS_Q, tau, p=p, Q=Q),
     ):
         block = assemble_spec(spec, 2 * n)[:n, :n]
         assert np.ascontiguousarray(block).tobytes() == assemble_spec(spec, n).tobytes()
@@ -253,9 +240,9 @@ def test_fourth_order_q_of_each_kind(p, q, Q):
     tau = 0.3
     sp, sq, sQ = p.shift(tau), q.shift(tau), Q.shift(tau)
     square = sp.derivative(2) + sp * sp
-    assert OperatorSpec(KIND_FOURTH_ORDER, p=p, q=q, Q=Q, tau=tau).fourth_order_q() == sq + sQ
-    assert OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=Q, tau=tau).fourth_order_q() == square + sQ
-    assert OperatorSpec(KIND_SECOND_ORDER, p=p, tau=tau).fourth_order_q() == square
+    assert shifted_spec(KIND_FOURTH_ORDER, tau, p=p, q=q, Q=Q).fourth_order_q() == sq + sQ
+    assert shifted_spec(KIND_SQUARE_PLUS_Q, tau, p=p, Q=Q).fourth_order_q() == square + sQ
+    assert shifted_spec(KIND_SECOND_ORDER, tau, p=p).fourth_order_q() == square
 
 
 @pytest.mark.parametrize(

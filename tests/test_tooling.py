@@ -1,5 +1,6 @@
 """The README command lines and the experiment scripts stay runnable."""
 
+import argparse
 import importlib.util
 import os
 import re
@@ -29,6 +30,29 @@ def test_readme_has_a_line_per_command():
 @pytest.mark.parametrize("line", readme_command_lines())
 def test_readme_command_line_parses(line):
     build_parser().parse_args(shlex.split(line)[1:])
+
+
+def readme_option_table():
+    """{command: [option, ...]} from the README table of the options each command takes."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("Each command takes only the options it reads:", 1)[1].split("\n\n")[1]
+    rows = {}
+    for line in table.splitlines():
+        command, options = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        if command not in ("command", "") and not command.startswith("-"):
+            rows[command] = options.split()
+    return rows
+
+
+def test_readme_option_table_matches_the_parser():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: [flag for a in sub._actions if not isinstance(a, argparse._HelpAction)
+               for flag in a.option_strings]
+        for name, sub in subparsers.choices.items()
+    }
+    assert readme_option_table() == parsed
 
 
 def run_script(name, *args, cwd=None):

@@ -134,7 +134,7 @@ def test_rhs_trs_reduces_trf3_for_constant_p():
 def test_rhs_ipr1_uses_shift_point():
     cs = CoefficientSet(p=COS2)
     # V = 2 pi^2 cos(2 pi tau); V(1/4) = 0
-    assert rhs(FormulaId.IPR1, cs, tau=0.25) == pytest.approx(-0.125, rel=1e-12)
+    assert rhs(FormulaId.IPR1, cs.shifted(0.25)) == pytest.approx(-0.125, rel=1e-12)
 
 
 # -- tail acceleration --------------------------------------------------------------
@@ -717,8 +717,8 @@ def test_shifted_right_sides_match_their_closed_forms(p, q, tau):
     # IPR1: -(P - p0^2 + 2 V(tau))/4; IP2 (q in the role of Q): -Q(tau)/2
     p0, P = p.functionals().mean, big_P(p)
     v_tau = build_V(p, q).evaluate(tau)
-    assert _close(rhs(FormulaId.IPR1, CoefficientSet(p=p, q=q), tau), -(P - p0 * p0) / 4.0, -v_tau / 2.0)
-    assert _close(rhs(FormulaId.IP2, CoefficientSet(p=p, Q=q), tau), -q.evaluate(tau) / 2.0)
+    assert _close(rhs(FormulaId.IPR1, CoefficientSet(p=p, q=q).shifted(tau)), -(P - p0 * p0) / 4.0, -v_tau / 2.0)
+    assert _close(rhs(FormulaId.IP2, CoefficientSet(p=p, Q=q).shifted(tau)), -q.evaluate(tau) / 2.0)
 
 
 def test_asym_reports_the_signed_derived_constant(tmp_path):
@@ -732,7 +732,45 @@ def test_asym_reports_the_signed_derived_constant(tmp_path):
 
 
 def test_asym_derived_constant_reads_the_shifted_q_plus_Q():
-    spec = OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2, Q=COS2.scale(0.5), tau=0.3)
-    p, q, Q = spec.shifted_coefficients()
+    cs = CoefficientSet(p=COS2, q=SIN2, Q=COS2.scale(0.5)).shifted(0.3)
+    p, q, Q = cs.p, cs.q, cs.Q
+    spec = OperatorSpec(KIND_FOURTH_ORDER, p=p, q=q, Q=Q)
     rep = asym_residuals(spec, n=64, k=16)
     assert rep.derived_c == _second_order_constant(p, q + Q)
+
+
+# -- circle shift ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["p", "q", "Q"])
+def test_shifted_rejects_non_periodic_coefficient_by_name(name):
+    with pytest.raises(PreconditionError, match=f"requires 1-periodic {name} "):
+        CoefficientSet(**{name: COS1}).shifted(0.5)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_shift_refuses_a_non_finite_tau(tau):
+    for cs in (CoefficientSet(), CoefficientSet(p=COS2, q=SIN2)):
+        with pytest.raises(PreconditionError, match="must be finite"):
+            cs.shifted(tau)
+    with pytest.raises(PreconditionError, match="must be finite"):
+        verify(FormulaId.IPR1, CoefficientSet(p=COS2, q=SIN2), n=64, k=16, tau=tau)
+
+
+@pytest.mark.parametrize("mode", ["fourier", "richardson"])
+@pytest.mark.parametrize("formula, name", [(FormulaId.IPR1, "q"), (FormulaId.IP2, "Q")],
+                         ids=["IPR1", "IP2"])
+@given(coefficients(max_degree=4, periodic=True),
+       coefficients(max_degree=4, periodic=True).map(_zero_mean),
+       st.floats(0.0, 1.0, exclude_max=True))
+@settings(max_examples=10)
+def test_verify_at_tau_is_verify_of_the_shifted_set_bit_for_bit(formula, name, mode, p, g, tau):
+    cs = CoefficientSet(p=p, **{name: g})
+    try:
+        at_tau = verify(formula, cs, n=64, k=16, mode=mode, tau=tau)
+    except PreconditionError as exc:
+        assume("trust horizon" not in str(exc))
+        raise
+    shifted = verify(formula, cs.shifted(tau), n=64, k=16, mode=mode)
+    assert [x.hex() for x in (at_tau.gap, at_tau.accelerated, at_tau.rhs)] == [
+        x.hex() for x in (shifted.gap, shifted.accelerated, shifted.rhs)]
