@@ -13,13 +13,13 @@ Odd frequencies realize asymmetric endpoint data (f(0) != f(1) through
 odd cosines, f'(0) != f'(1) through sines); a coefficient is 1-periodic
 exactly when every odd-frequency amplitude vanishes.
 
-A coefficient is frozen and hashes by its amplitudes, so what depends on
-it alone is memoized by value with ``functools.lru_cache`` at a fixed
-maxsize: ``Coefficient.functionals``, ``Coefficient.shift``,
-``Coefficient.is_one_periodic`` and ``build_V``.  Equal coefficients
-built as separate objects share one entry, and every value returned is
-frozen too.  Keys compare with ``==``, so amplitudes 0.0 and -0.0 are one
-key.
+A coefficient is frozen and hashes by its amplitudes, hashed once at
+construction, so what depends on it alone is memoized by value with
+``functools.lru_cache`` at a fixed maxsize: ``Coefficient.functionals``,
+``Coefficient.l2sq``, ``Coefficient.shift``, ``Coefficient.is_one_periodic``
+and ``build_V``.  Equal coefficients built as separate objects share one
+entry, and every value returned is frozen too.  Keys compare with ``==``,
+so amplitudes 0.0 and -0.0 are one key.
 """
 
 from __future__ import annotations
@@ -67,6 +67,11 @@ class Coefficient:
     def __post_init__(self):
         object.__setattr__(self, "u", _trimmed(self.u, keep_one=True))
         object.__setattr__(self, "w", _trimmed(self.w))
+        # every memo key holds coefficients: hash the amplitudes once
+        object.__setattr__(self, "_hash", hash((self.u, self.w)))
+
+    def __hash__(self):
+        return self._hash
 
     # -- construction helpers ------------------------------------------------
 
@@ -133,9 +138,10 @@ class Coefficient:
         return not (np.any(ua[odd] != 0.0) or np.any(wa[odd] != 0.0))
 
     def short(self) -> str:
-        """Compact one-line description for report digests."""
-        us = ",".join(f"{v:g}" for v in self.u)
-        ws = ",".join(f"{v:g}" for v in self.w)
+        """Compact one-line description for report digests.  It depends on
+        the value alone, as a memo key does: -0.0 reads as 0."""
+        us = ",".join(f"{v + 0.0:g}" for v in self.u)
+        ws = ",".join(f"{v + 0.0:g}" for v in self.w)
         return f"u=[{us}];w=[{ws}]"
 
     # -- evaluation and calculus ---------------------------------------------
@@ -256,7 +262,8 @@ class Coefficient:
 
     @functools.lru_cache(maxsize=256)
     def functionals(self) -> "Functionals":
-        """All scalar functionals in closed form from the amplitudes.
+        """The mean, endpoint values and endpoint derivatives in closed form
+        from the amplitudes.
 
         Memoized by value (see the module docstring).
         """
@@ -266,7 +273,6 @@ class Coefficient:
         pj = np.pi * j
         return Functionals(
             mean=self._mean(),
-            l2sq=(self * self)._mean(),
             end0=float(ua.sum()),
             end1=float((ua * sgn).sum()),
             d1_0=float((pj * wa).sum()),
@@ -274,6 +280,11 @@ class Coefficient:
             d2_0=float(-((pj**2) * ua).sum()),
             d2_1=float(-((pj**2) * ua * sgn).sum()),
         )
+
+    @functools.lru_cache(maxsize=256)
+    def l2sq(self) -> float:
+        """int f^2, the mean of the exact product f * f.  Memoized by value."""
+        return (self * self)._mean()
 
 
 def _product(f: Coefficient, g: Coefficient) -> Coefficient:
@@ -312,12 +323,11 @@ def _product(f: Coefficient, g: Coefficient) -> Coefficient:
 class Functionals:
     """Closed-form scalars of one coefficient function.
 
-    mean = int f, l2sq = int f^2, endpoint values and first/second
-    endpoint derivatives.
+    mean = int f, endpoint values and first/second endpoint derivatives
+    (int f^2 is ``Coefficient.l2sq``).
     """
 
     mean: float
-    l2sq: float
     end0: float
     end1: float
     d1_0: float
@@ -336,7 +346,7 @@ def big_P(f: Coefficient) -> float:
     exactly and this reduces to the squared L2 norm.
     """
     fn = f.functionals()
-    return (fn.d1_1 - fn.d1_0) + fn.l2sq
+    return (fn.d1_1 - fn.d1_0) + f.l2sq()
 
 
 @functools.lru_cache(maxsize=256)

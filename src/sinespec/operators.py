@@ -30,6 +30,7 @@ p'' + p^2 for h, the form of h^2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,9 +154,12 @@ class OperatorSpec:
             if name not in _READS[self.kind] and not getattr(self, name).is_zero():
                 raise PreconditionError(f"operator kind {self.kind!r} takes no {name}")
 
+    @functools.lru_cache(maxsize=256)
     def fourth_order_q(self) -> Coefficient:
         """q_eff of the fourth-order form H(p, q_eff) of this kind: q + Q for
-        H+Q, p'' + p^2 + Q for h^2+Q, and p'' + p^2 for h, the form of h^2."""
+        H+Q, p'' + p^2 + Q for h^2+Q, and p'' + p^2 for h, the form of h^2.
+        Memoized by value, so a ``spectrum`` builds it once for its
+        assembly, diagonal and shift."""
         if self.kind == KIND_FOURTH_ORDER:
             return self.q + self.Q
         square = self.p.derivative(2) + self.p * self.p

@@ -46,6 +46,17 @@ side stated at x = 0, 1 is read at tau, as in IPR1 and IP2.
 Counterterms are evaluated in the expanded form
 mu_n - (pi n)^4 + 2 p0 (pi n)^2 - p0^2 to limit cancellation, and the
 partial sums are accumulated with compensated summation.
+
+Whatever depends only on the input is memoized by value in bounded
+``functools.lru_cache`` tables, so a ``verify`` whose spectra are cached
+pays only for its arithmetic: it sums, accelerates and fits again, and no
+report is memoized.  ``Formula.read`` holds, per identity and coefficient
+set, the role specs, the summand's p0, P and q0, the right side and each
+term's tail model; ``check_preconditions`` keeps only the inputs that
+pass, so a refusal is raised on every call; ``CoefficientSet.shifted``
+and ``CoefficientSet.digest``, (pi n)^2 and log n per K, and the
+``fourier`` tail pieces are memoized too.  The rate exponent is the
+closed-form least-squares slope of log |S_n - S| against log n.
 """
 
 from __future__ import annotations
@@ -121,10 +132,11 @@ class CoefficientSet:
     q: Coefficient = ZERO
     Q: Coefficient = ZERO
 
+    @functools.lru_cache(maxsize=256)
     def shifted(self, tau: float) -> "CoefficientSet":
         """The set shifted on the circle, f(x) -> f(x + tau mod 1): the one
         place a shift is applied.  A nonzero shift needs a finite tau and
-        1-periodic coefficients."""
+        1-periodic coefficients.  Memoized by value."""
         if not math.isfinite(tau):
             raise PreconditionError(f"circle shift tau={tau} must be finite")
         if tau == 0.0:
@@ -137,7 +149,9 @@ class CoefficientSet:
                 )
         return CoefficientSet(p=self.p.shift(tau), q=self.q.shift(tau), Q=self.Q.shift(tau))
 
+    @functools.lru_cache(maxsize=256)
     def digest(self) -> str:
+        """One-line description for reports.  Memoized by value."""
         return f"p:{self.p.short()} q:{self.q.short()} Q:{self.Q.short()}"
 
 
@@ -182,6 +196,22 @@ def _effective_q(role: str, cs: CoefficientSet) -> tuple:
     q = _role_spec(role, cs).fourth_order_q()
     q0 = q.functionals().mean
     return q - Coefficient.constant(q0), q0
+
+
+@functools.lru_cache(maxsize=64)
+def _z2(k: int) -> np.ndarray:
+    """(pi n)^2, n = 1..k, read-only."""
+    z2 = (np.pi * np.arange(1, k + 1, dtype=float)) ** 2
+    z2.flags.writeable = False
+    return z2
+
+
+@functools.lru_cache(maxsize=64)
+def _log_k(k: int) -> np.ndarray:
+    """log n, n = 1..k, read-only."""
+    x = np.log(np.arange(1, k + 1, dtype=float))
+    x.flags.writeable = False
+    return x
 
 
 @functools.lru_cache(maxsize=64)
@@ -249,6 +279,21 @@ def _second_order_constant(p: Coefficient, q: Coefficient) -> float:
 
 
 @dataclass(frozen=True)
+class _Reading:
+    """What one identity reads of one coefficient set (``Formula.read``):
+    the spec of each role, p0 = int p, P = big_P(p), q0 (the signed sum
+    of the terms' mean(q_eff)), the right side, and per term the sign,
+    q_eff - mean(q_eff) and the V of its tail model."""
+
+    specs: tuple
+    p0: float
+    P: float
+    q0: float
+    rhs: float
+    tail: tuple
+
+
+@dataclass(frozen=True, eq=False)
 class Formula:
     """One trace identity: TRF3 applied to a signed sum of spectra.
 
@@ -257,7 +302,8 @@ class Formula:
     tracks.  The signs sum to 1 (one TRF3 sum) or to 0 (a difference of
     two, whose p-only counterterms cancel).  ``tol``: the tolerance at
     the default sizes.  ``hypotheses``: (coefficient, hypothesis) pairs.
-    ``fourier``: whether the ``fourier`` tail model applies.
+    ``fourier``: whether the ``fourier`` tail model applies.  Entries
+    compare and hash by identity: each is one entry of ``FORMULAS``.
     """
 
     terms: tuple
@@ -269,32 +315,46 @@ class Formula:
     def roles(self) -> tuple:
         return tuple(role for role, _ in self.terms)
 
+    @functools.lru_cache(maxsize=256)
+    def read(self, cs: CoefficientSet) -> _Reading:
+        """What the identity reads of ``cs``, computed once per value of
+        ``cs``: everything its summand, right side and tail take from the
+        coefficients.  Checks no hypothesis."""
+        return self._read(cs)
+
+    def _read(self, cs: CoefficientSet) -> _Reading:
+        p0, P = cs.p.functionals().mean, big_P(cs.p)
+        qs = [(sign, *_effective_q(role, cs)) for role, sign in self.terms]
+        # the closed-form right side -(P - p0^2 + V(0) + V(1))/4 per term,
+        # V = q_eff - mean(q_eff) - p''/2
+        right = 0.0
+        for sign, q, _ in qs:
+            fv = build_V(cs.p, q).functionals()
+            right += sign * -0.25 * ((P - p0 * p0) + fv.end0 + fv.end1)
+        return _Reading(
+            specs=tuple((role, _role_spec(role, cs)) for role in self.roles),
+            p0=p0, P=P, q0=sum(sign * q0 for sign, _, q0 in qs), rhs=right,
+            tail=tuple((sign, q, build_V(cs.p, q)) for sign, q, _ in qs),
+        )
+
     def summand(self, vals, cs: CoefficientSet, z2):
         """The regularized summands n = 1..k from ``vals[role]``, the lowest
         k eigenvalues, and z2 = (pi n)^2."""
         x = sum(sign * (vals[r] ** 2 if r == "alpha" else vals[r]) for r, sign in self.terms)
-        q0 = sum(sign * _effective_q(r, cs)[1] for r, sign in self.terms)
+        r = self.read(cs)
         if sum(sign for _, sign in self.terms) == 0:
             # the p-only counterterms of the two TRF3 sums cancel
-            return x - q0
-        p0, P = cs.p.functionals().mean, big_P(cs.p)
-        return _expanded(x, p0, z2) - p0 * p0 + 0.5 * (P + p0 * p0) - q0
+            return x - r.q0
+        return _expanded(x, r.p0, z2) - r.p0 * r.p0 + 0.5 * (r.P + r.p0 * r.p0) - r.q0
 
     def rhs(self, cs: CoefficientSet) -> float:
-        """The closed-form right side -(P - p0^2 + V(0) + V(1))/4 per term,
-        V = q_eff - mean(q_eff) - p''/2."""
-        p0, P = cs.p.functionals().mean, big_P(cs.p)
-        total = 0.0
-        for role, sign in self.terms:
-            fv = build_V(cs.p, _effective_q(role, cs)[0]).functionals()
-            total += sign * -0.25 * ((P - p0 * p0) + fv.end0 + fv.end1)
-        return total
+        """The closed-form right side."""
+        return self.read(cs).rhs
 
     def tail(self, s_k: float, cs: CoefficientSet, k: int) -> float:
         """S_k closed by the summand model -c_2n(V) + C/n^2 per term."""
-        for role, sign in self.terms:
-            q = _effective_q(role, cs)[0]
-            s_k = (s_k - sign * _endpoint_tail(build_V(cs.p, q), k)
+        for sign, q, v in self.read(cs).tail:
+            s_k = (s_k - sign * _endpoint_tail(v, k)
                    + sign * _second_order_constant(cs.p, q) * _zeta2_tail(k))
         return s_k
 
@@ -303,17 +363,21 @@ class _SecondOrder(Formula):
     """GLF: the second-order identity, whose one term reads alpha itself;
     it has its own summand, right side and tail."""
 
-    def summand(self, vals, cs: CoefficientSet, z2):
-        return vals["alpha"] - z2 + cs.p.functionals().mean
-
-    def rhs(self, cs: CoefficientSet) -> float:
+    def _read(self, cs: CoefficientSet) -> _Reading:
         fp = cs.p.functionals()
-        return (fp.end0 + fp.end1) / 4.0 - fp.mean / 2.0
+        return _Reading(
+            specs=tuple((role, _role_spec(role, cs)) for role in self.roles),
+            p0=fp.mean, P=big_P(cs.p), q0=0.0,
+            rhs=(fp.end0 + fp.end1) / 4.0 - fp.mean / 2.0, tail=(),
+        )
+
+    def summand(self, vals, cs: CoefficientSet, z2):
+        return vals["alpha"] - z2 + self.read(cs).p0
 
     def tail(self, s_k: float, cs: CoefficientSet, k: int) -> float:
         # summand (P - p0^2) / (2 pi n)^2
-        P = big_P(cs.p)
-        return s_k + (P - cs.p.functionals().mean ** 2) / (4.0 * math.pi**2) * _zeta2_tail(k)
+        r = self.read(cs)
+        return s_k + (r.P - r.p0 ** 2) / (4.0 * math.pi**2) * _zeta2_tail(k)
 
 
 # Tolerances at the default sizes (N=256, K=64), sized from what the tail
@@ -348,9 +412,14 @@ def check_basis_size(n: int, k: int) -> None:
         raise PreconditionError(f"basis size N={n} must satisfy N >= 2K (K={k})")
 
 
+@functools.lru_cache(maxsize=256)
 def check_preconditions(formula: FormulaId, coeffs: CoefficientSet) -> None:
     """Reject inputs outside the hypothesis class of the chosen identity,
-    and any nonzero coefficient that none of its spectra reads."""
+    and any nonzero coefficient that none of its spectra reads.
+
+    Memoized by value, so a repeated check of valid input is one lookup;
+    a refusal is never stored and is raised again on every call.
+    """
     formula = FormulaId(formula)
     roles = FORMULAS[formula].roles
     read = [name for name in ("p", "q", "Q") if any(name in ROLES[r][1] for r in roles)]
@@ -381,14 +450,13 @@ def check_acceleration(formula: FormulaId, k: int, mode: str) -> None:
 
 def spectra_for(formula: FormulaId, coeffs: CoefficientSet, n: int):
     """Compute the spectra the formula's summand reads, keyed by role."""
-    return {role: spectrum(_role_spec(role, coeffs), n)
-            for role in FORMULAS[FormulaId(formula)].roles}
+    return {role: spectrum(spec, n)
+            for role, spec in FORMULAS[FormulaId(formula)].read(coeffs).specs}
 
 
 def _summands(formula: FormulaId, spectra, coeffs: CoefficientSet, k: int) -> np.ndarray:
-    z2 = (np.pi * np.arange(1, k + 1, dtype=float)) ** 2
     vals = {role: s.vals[:k] for role, s in spectra.items()}
-    return FORMULAS[formula].summand(vals, coeffs, z2)
+    return FORMULAS[formula].summand(vals, coeffs, _z2(k))
 
 
 def summand(formula: FormulaId, n: int, spectra, coeffs: CoefficientSet) -> float:
@@ -470,14 +538,19 @@ class TraceReport:
 
 
 def _fit_rate(partial: np.ndarray, accelerated: float, k: int) -> float:
-    ks = np.arange(1, k + 1, dtype=float)
-    resid = np.abs(partial[:k] - accelerated)
+    """Least-squares slope of log |S_n - accelerated| against log n over
+    n = max(4, K/4)..K, leaving out residuals at the rounding floor, from
+    centred sums; NaN when fewer than three points are left."""
     lo = max(4, k // 4)
-    mask = (ks >= lo) & (resid > 1e-13 * (1.0 + abs(accelerated)))
-    if int(mask.sum()) < 3:
+    resid = np.abs(partial[lo - 1 : k] - accelerated)
+    keep = resid > 1e-13 * (1.0 + abs(accelerated))
+    count = int(np.count_nonzero(keep))
+    if count < 3:
         return float("nan")
-    slope = np.polyfit(np.log(ks[mask]), np.log(resid[mask]), 1)[0]
-    return float(slope)
+    x = _log_k(k)[lo - 1 :][keep]
+    y = np.log(resid[keep])
+    x = x - x.sum() / count
+    return float(x @ (y - y.sum() / count) / (x @ x))
 
 
 def verify(
@@ -575,9 +648,8 @@ def asym_residuals(spec: OperatorSpec, n: int = 256, k: int = 64) -> Asymptotics
     s.require_trusted(k)
     cs = CoefficientSet(p=spec.p, q=spec.fourth_order_q())
     ns = np.arange(1, k + 1, dtype=float)
-    z2 = (np.pi * ns) ** 2
     trf3 = FORMULAS[FormulaId.TRF3]
-    r = trf3.summand({"mu": s.vals[:k]}, cs, z2) + _even_cosines(build_V(cs.p, cs.q), k)
+    r = trf3.summand({"mu": s.vals[:k]}, cs, _z2(k)) + _even_cosines(build_V(cs.p, cs.q), k)
     fitted = float(np.mean(ns[FIT_LO - 1 :] ** 2 * np.abs(r[FIT_LO - 1 :])))
     return AsymptoticsReport(
         residuals=r, fitted_c=fitted, derived_c=_second_order_constant(cs.p, cs.q),
@@ -693,7 +765,7 @@ def dispute(
             )
         report = verify(FormulaId.S01, CoefficientSet(p=p), n=n, k=k, mode="fourier")
         lhs = report.accelerated
-        l2 = fp.l2sq
+        l2 = p.l2sq()
         ends_sq = (fp.end0**2 + fp.end1**2) / 4.0
         d2_ends = (fp.d2_0 + fp.d2_1) / 8.0
         if variant == DisputeVariant.DIKII_TRFD1:
@@ -721,15 +793,14 @@ def dispute(
         alpha = spectrum(square, n)
         alpha.require_trusted(k)
         ns = np.arange(1, k + 1, dtype=float)
-        z2 = (np.pi * ns) ** 2
         # third-term sequence: mu_m - (pi m)^4 + 2 p0 (pi m)^2 with the
         # oscillating part removed; fitted against const + b/m^2
-        t = _expanded(alpha.vals[:k] ** 2, fp.mean, z2) + _even_cosines(build_V(p, q), k)
+        t = _expanded(alpha.vals[:k] ** 2, fp.mean, _z2(k)) + _even_cosines(build_V(p, q), k)
         design = np.column_stack([np.ones(k - FIT_LO + 1), 1.0 / ns[FIT_LO - 1 :] ** 2])
         coef, *_ = np.linalg.lstsq(design, t[FIT_LO - 1 :], rcond=None)
         lhs = float(coef[0])
         variant_rhs = q.functionals().mean
-        reference_rhs = (fp.l2sq + fp.mean**2) / 2.0
+        reference_rhs = (p.l2sq() + fp.mean**2) / 2.0
     return DisputeReport(
         variant=variant,
         computed_lhs=float(lhs),

@@ -9,6 +9,8 @@ can hold the library to the same outputs bit for bit:
 - ``numpy_sum`` and ``numpy_scalar_product``: ``Coefficient`` addition as
   numpy array sums, and the product-to-sum loop over numpy scalars;
 - ``loop_localization``: the window and disc counts, one index at a time;
+- ``polyfit_rate``: the rate exponent of a ``TraceReport``, fitted by
+  ``np.polyfit``;
 - ``hand_recover_V``, ``hand_recover_q``, ``hand_recover_Q``: the
   recoveries with the IPR1, IP2 and GLF right sides written out by hand,
 
@@ -134,9 +136,22 @@ def loop_localization(vals, horizon):
     return horizon, tuple((n, int(counts[n])) for n in bad), disc
 
 
+def polyfit_rate(partial, accelerated, k):
+    """Slope of log |S_n - accelerated| against log n over n >= max(4, k // 4),
+    residuals above the rounding floor only; NaN below three points."""
+    ks = np.arange(1, k + 1, dtype=float)
+    resid = np.abs(partial[:k] - accelerated)
+    lo = max(4, k // 4)
+    mask = (ks >= lo) & (resid > 1e-13 * (1.0 + abs(accelerated)))
+    if int(mask.sum()) < 3:
+        return float("nan")
+    slope = np.polyfit(np.log(ks[mask]), np.log(resid[mask]), 1)[0]
+    return float(slope)
+
+
 def hand_recover_V(sr):
     fp = sr.template.p.functionals()
-    p0, big = fp.mean, fp.l2sq
+    p0, big = fp.mean, sr.template.p.l2sq()
     vals = -2.0 * sr.accelerated - 0.5 * (big - p0 * p0)
     wrap = float(-2.0 * sr.wrap_accelerated - 0.5 * (big - p0 * p0))
     return vals, wrap

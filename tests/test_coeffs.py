@@ -6,7 +6,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import coefficients, simpson_integral
-from sinespec import Coefficient, PreconditionError, ZERO, big_P, build_V
+from sinespec import Coefficient, PreconditionError, ZERO, big_P, build_V, coeffs
 
 PI = math.pi
 
@@ -118,8 +118,8 @@ def test_shift_rejects_non_periodic():
 
 @given(coefficients(max_degree=6, periodic=True), st.floats(0, 1, allow_nan=False))
 def test_shift_preserves_l2_norm(f, tau):
-    a = f.functionals().l2sq
-    b = f.shift(tau).functionals().l2sq
+    a = f.l2sq()
+    b = f.shift(tau).l2sq()
     assert b == pytest.approx(a, rel=1e-10, abs=1e-10)
 
 
@@ -182,7 +182,7 @@ def test_parseval_against_quadrature():
             u=tuple(rng.uniform(-2, 2, deg + 1)), w=tuple(rng.uniform(-2, 2, deg))
         )
         oracle = simpson_integral(f.evaluate(xs) ** 2, h)
-        assert f.functionals().l2sq == pytest.approx(oracle, abs=1e-9)
+        assert f.l2sq() == pytest.approx(oracle, abs=1e-9)
 
 
 def test_even_cosine_tail_sums_to_endpoint_jump():
@@ -203,7 +203,7 @@ def test_even_cosine_tail_sums_to_endpoint_jump():
 def test_functionals_cos_2pi():
     fn = Coefficient.harmonic_cos(2).functionals()
     assert fn.mean == 0.0
-    assert fn.l2sq == pytest.approx(0.5, rel=1e-15)
+    assert Coefficient.harmonic_cos(2).l2sq() == pytest.approx(0.5, rel=1e-15)
     assert fn.end0 == 1.0 and fn.end1 == 1.0
     assert fn.d2_0 == pytest.approx(-4 * PI**2, rel=1e-14)
     assert fn.d2_1 == pytest.approx(-4 * PI**2, rel=1e-14)
@@ -214,7 +214,7 @@ def test_functionals_cos_pi():
     f = Coefficient.harmonic_cos(1)
     fn = f.functionals()
     assert fn.mean == 0.0
-    assert fn.l2sq == pytest.approx(0.5, rel=1e-15)
+    assert f.l2sq() == pytest.approx(0.5, rel=1e-15)
     assert fn.end0 == 1.0 and fn.end1 == -1.0
     assert fn.d1_0 == 0.0 and fn.d1_1 == 0.0
     assert big_P(f) == pytest.approx(0.5, rel=1e-14)
@@ -224,8 +224,19 @@ def test_functionals_zero():
     fn = ZERO.functionals()
     assert all(
         getattr(fn, name) == 0.0
-        for name in ("mean", "l2sq", "end0", "end1", "d1_0", "d1_1", "d2_0", "d2_1")
+        for name in ("mean", "end0", "end1", "d1_0", "d1_1", "d2_0", "d2_1")
     )
+    assert ZERO.l2sq() == 0.0
+
+
+def test_functionals_make_no_product(monkeypatch):
+    # int f^2 is computed only where it is read (Coefficient.l2sq)
+    def refuse(f, g):
+        raise AssertionError("functionals built a product")
+
+    monkeypatch.setattr(coeffs, "_product", refuse)
+    fn = Coefficient.functionals.__wrapped__(Coefficient(u=(0.3, 1.0, -2.0), w=(0.5, 0.25)))
+    assert fn.end0 == pytest.approx(-0.7, rel=1e-15)
 
 
 def test_mean_formula_against_amplitudes():

@@ -3,8 +3,11 @@
 Each is held to the path it replaced (``reference_paths``) or to its own
 undecorated function: the 2n x n block ``spectrum`` assembles, the memo
 caches, coefficient sums and products and the compensated sum over Python
-floats, and the searchsorted localization counts.  The last test checks the traffic of the memo
-caches: a repeated panel pass computes nothing again.
+floats, the searchsorted localization counts, and the closed-form rate
+fit.  ``verify`` is held to the public functions it calls, and those
+still refuse bad input on every call.  The last tests check the memo
+caches: every one is found, and a repeated panel pass computes nothing
+again.
 """
 
 import importlib.util
@@ -23,18 +26,29 @@ from reference_paths import (
     numpy_scalar_cumsum,
     numpy_scalar_product,
     numpy_sum,
+    polyfit_rate,
     square_spectrum,
 )
 from sinespec import (
     Coefficient,
+    CoefficientSet,
+    FormulaId,
     KIND_FOURTH_ORDER,
     KIND_SECOND_ORDER,
     KIND_SQUARE_PLUS_Q,
     OperatorSpec,
+    PreconditionError,
+    ZERO,
     assemble_spec,
     build_V,
+    check_preconditions,
     compensated_cumsum,
+    partial_sums,
+    rhs,
+    spectra_for,
     spectrum,
+    summand,
+    tail_accelerate,
     verify,
 )
 from sinespec import coeffs, eigensolve, inverse, linalg, operators, traces
@@ -114,6 +128,21 @@ def test_block_and_diagonal_bit_for_bit_on_random_coefficients(p, q, Q, kind, n,
     assert bits(assemble_diagonal(spec, rows)) == bits(np.diagonal(square).copy())
 
 
+@pytest.mark.parametrize("kind, builds, reuses", [
+    (KIND_SECOND_ORDER, 0, 0),
+    # assembly, diagonal and factored shift
+    (KIND_FOURTH_ORDER, 1, 2),
+    # assembly and diagonal; the shift reads Q itself
+    (KIND_SQUARE_PLUS_Q, 1, 1),
+])
+def test_a_spectrum_builds_its_fourth_order_q_once(kind, builds, reuses):
+    spec = next(s for s in specs(False) if s.kind == kind)
+    OperatorSpec.fourth_order_q.cache_clear()
+    spectrum.__wrapped__(spec, 32)
+    info = OperatorSpec.fourth_order_q.cache_info()
+    assert (info.misses, info.hits) == (builds, reuses)
+
+
 def test_block_needs_as_many_rows_as_columns():
     with pytest.raises(ValueError):
         assemble_spec(OperatorSpec(KIND_SECOND_ORDER, p=COS2), 8, rows=7)
@@ -165,6 +194,19 @@ def test_endpoint_tail_memo_matches_wrapped(g, k):
 @given(st.integers(1, 300))
 def test_zeta2_tail_memo_matches_wrapped(k):
     memo_matches_wrapped(traces._zeta2_tail, k)
+
+
+@given(coefficients(max_degree=6))
+def test_l2sq_memo_matches_wrapped(f):
+    memo_matches_wrapped(Coefficient.l2sq, f)
+
+
+def test_digest_memo_reads_the_value_alone():
+    # equal sets share one memo entry, so a signed zero must not show
+    traces.CoefficientSet.digest.cache_clear()
+    first = CoefficientSet(p=Coefficient(u=(-0.0, 1.0), w=(2.0, -0.0, 3.0))).digest()
+    second = CoefficientSet(p=Coefficient(u=(0.0, 1.0), w=(2.0, 0.0, 3.0))).digest()
+    assert first == second == "p:u=[0,1];w=[2,0,3] q:u=[0];w=[] Q:u=[0];w=[]"
 
 
 # -- coefficient sums and products over Python floats ---------------------------------
@@ -247,19 +289,155 @@ def test_localization_matches_loop_counts_on_spectra(spec):
     assert (rep.n0, rep.violations, rep.disc_count) == loop_localization(s.vals, s.n_trusted)
 
 
+# -- the rate fit ------------------------------------------------------------------------
+
+
+@st.composite
+def converging_sums(draw):
+    """(S_1..S_k, limit, k) with S_n = limit + c n^-r (1 + e_n), |e_n| <= 1%,
+    and every S_n from some index on equal to the limit, so that between
+    none and all of the fitted residuals sit at the rounding floor."""
+    k = draw(st.integers(8, 128))
+    limit = draw(st.floats(-10.0, 10.0))
+    c = draw(st.floats(1e-9, 10.0)) * draw(st.sampled_from([1.0, -1.0]))
+    r = draw(st.floats(0.5, 4.0))
+    noise = draw(st.lists(st.floats(-0.01, 0.01), min_size=k, max_size=k))
+    converged = draw(st.integers(0, k))
+    partial = np.array([limit + c * n**-r * (1.0 + e) if n <= converged else limit
+                        for n, e in enumerate(noise, start=1)])
+    return partial, limit, k
+
+
+def sums_converged_after(m, k=64):
+    partial = 1.0 + 1.0 / np.arange(1, k + 1, dtype=float) ** 2
+    partial[m:] = 1.0
+    return partial, 1.0, k
+
+
+@given(converging_sums())
+# from max(4, k // 4) = 16 on: two residuals above the floor, then three
+@example(sums_converged_after(17))
+@example(sums_converged_after(18))
+@example(sums_converged_after(64))
+def test_rate_fit_matches_polyfit(drawn):
+    partial, limit, k = drawn
+    got, want = traces._fit_rate(partial, limit, k), polyfit_rate(partial, limit, k)
+    assert math.isnan(got) == math.isnan(want)
+    if not math.isnan(want):
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_rate_fit_needs_three_points():
+    assert math.isnan(traces._fit_rate(*sums_converged_after(17)))
+    assert traces._fit_rate(*sums_converged_after(18)) == pytest.approx(-2.0, rel=1e-3)
+
+
+# -- verify and the public functions ----------------------------------------------------
+
+MODES = ("fourier", "richardson", "none")
+SHIFTED = (FormulaId.IPR1, FormulaId.IP2)
+
+
+def outcome(call):
+    """The call's (gap, accelerated, rhs, partial) in IEEE bytes, or its refusal."""
+    try:
+        return bits(call())
+    except PreconditionError as exc:
+        return ("refused", str(exc))
+
+
+def public_path(formula, cs, tau, n, k, mode):
+    cs = cs.shifted(tau)
+    spectra = spectra_for(formula, cs, n)
+    parts = partial_sums(formula, spectra, cs, k)
+    acc = tail_accelerate(formula, parts, cs, k, mode)
+    right = rhs(formula, cs)
+    return acc - right, acc, right, tuple(parts.tolist())
+
+
+def verify_path(formula, cs, tau, n, k, mode):
+    rep = verify(formula, cs, n=n, k=k, mode=mode, tau=tau)
+    return rep.gap, rep.accelerated, rep.rhs, rep.partial
+
+
+def zero_mean(f):
+    return f - Coefficient.constant(f.functionals().mean)
+
+
+@given(coefficients(max_degree=3, periodic=True), st.booleans(),
+       coefficients(max_degree=3, periodic=True).map(zero_mean), st.booleans(),
+       coefficients(max_degree=3, periodic=True).map(zero_mean),
+       st.floats(0.05, 0.95))
+def test_verify_equals_the_public_path_bit_for_bit(p, constant_p, q, zero_q, Q, tau):
+    p = Coefficient.constant(p.u[0]) if constant_p else p
+    q = ZERO if zero_q else q
+    checked = 0
+    for formula in FormulaId:
+        reads = {name for role in traces.FORMULAS[formula].roles
+                 for name in traces.ROLES[role][1]}
+        cs = CoefficientSet(**{name: f for name, f in (("p", p), ("q", q), ("Q", Q))
+                               if name in reads})
+        try:
+            check_preconditions(formula, cs)
+        except PreconditionError:
+            continue
+        for shift in (0.0, tau) if formula in SHIFTED else (0.0,):
+            for mode in MODES:
+                args = (formula, cs, shift, 64, 16, mode)
+                assert outcome(lambda: verify_path(*args)) == outcome(lambda: public_path(*args))
+                checked += 1
+    # GLF, S01, TR3 and COR1 have no hypothesis on these draws
+    assert checked >= 12
+
+
+TRF3, GLF, TRQ0 = FormulaId.TRF3, FormulaId.GLF, FormulaId.TRQ0
+VALID = CoefficientSet(p=COS2)
+NONZERO_MEAN_Q = CoefficientSet(p=COS2, q=Coefficient.constant(1.0))
+# cos(60 pi x) at N = 64 couples the low modes past the basis: 4 trusted
+SHORT = CoefficientSet(p=Coefficient.harmonic_cos(60, 10.0))
+ZERO_MEAN_Q = "requires a zero-mean q"
+HORIZON = "beyond the trust horizon 4"
+NO_MODEL = "fourier tail model is not defined for TRQ0"
+REFUSALS = {
+    "check_preconditions": (lambda: check_preconditions(TRF3, NONZERO_MEAN_Q), ZERO_MEAN_Q),
+    "partial_sums": (lambda: partial_sums(TRF3, spectra_for(TRF3, VALID, 64), NONZERO_MEAN_Q, 16),
+                     ZERO_MEAN_Q),
+    "summand": (lambda: summand(TRF3, 1, spectra_for(TRF3, VALID, 64), NONZERO_MEAN_Q), ZERO_MEAN_Q),
+    "rhs": (lambda: rhs(TRF3, NONZERO_MEAN_Q), ZERO_MEAN_Q),
+    "verify": (lambda: verify(TRF3, NONZERO_MEAN_Q, n=64, k=16), ZERO_MEAN_Q),
+    "partial_sums K": (lambda: partial_sums(GLF, spectra_for(GLF, SHORT, 64), SHORT, 16), HORIZON),
+    "summand n": (lambda: summand(GLF, 5, spectra_for(GLF, SHORT, 64), SHORT), HORIZON),
+    "verify K": (lambda: verify(GLF, SHORT, n=64, k=16), HORIZON),
+    "tail_accelerate": (lambda: tail_accelerate(TRQ0, np.zeros(16), VALID, 16, "fourier"), NO_MODEL),
+    "verify fourier": (lambda: verify(TRQ0, VALID, n=64, k=16, mode="fourier"), NO_MODEL),
+}
+
+
+@pytest.mark.parametrize("label", REFUSALS)
+def test_public_functions_refuse_on_every_call(label):
+    call, message = REFUSALS[label]
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match=message):
+            call()
+
+
 # -- memo traffic -----------------------------------------------------------------------
 
 
 def memo_caches():
-    """Every functools cache the library defines, by name."""
+    """Every functools cache the library defines, by name: a module-level
+    function by module and name, a method by class and name."""
     found = {}
     for module in (coeffs, operators, linalg, eigensolve, traces, inverse):
         for name, obj in vars(module).items():
-            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if hasattr(obj, "cache_info"):
                 found[f"{module.__name__}.{name}"] = obj
-    for name, obj in vars(Coefficient).items():
-        if hasattr(obj, "cache_info"):
-            found[f"Coefficient.{name}"] = obj
+            elif isinstance(obj, type):
+                for attr, member in vars(obj).items():
+                    if hasattr(member, "cache_info"):
+                        found[f"{name}.{attr}"] = member
     return found
 
 
@@ -274,6 +452,14 @@ def test_memo_caches_are_found():
         "sinespec.traces._zeta2_tail",
         "sinespec.traces._endpoint_tail",
         "sinespec.traces._second_order_constant",
+        "Coefficient.l2sq",
+        "OperatorSpec.fourth_order_q",
+        "CoefficientSet.shifted",
+        "CoefficientSet.digest",
+        "Formula.read",
+        "sinespec.traces.check_preconditions",
+        "sinespec.traces._z2",
+        "sinespec.traces._log_k",
     }
 
 
