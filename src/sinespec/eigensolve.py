@@ -5,18 +5,18 @@
 equals the assembly at n bit for bit (see ``operators``).  The lower half
 and the diagonal entries of rows n+1..2n (``operators.assemble_diagonal``)
 give the truncation estimate, so the columns n+1..2n are never built.
-h, H and H+Q are solved by LAPACK on the index-flipped matrix
-(``linalg.graded_eigvalsh``), which the tests check against hand-rolled
-Householder/QL and Jacobi solvers in ``tests/``.  h^2+Q is solved by the
-factored ``linalg.factored_eigvalsh``, which keeps each eigenvalue to a
-few eps of itself plus eps * sigma.
+Every block is solved by the factored ``linalg.factored_eigvalsh``, which
+keeps each eigenvalue to a few eps of itself plus eps * sigma; H, H+Q and
+h^2+Q return its values.  h returns LAPACK's solve of the index-flipped
+matrix (``linalg.graded_eigvalsh``), which the tests check against
+hand-rolled Householder/QL and Jacobi solvers in ``tests/``.
 
 Each eigenvalue's error estimate has two parts, and neither needs a
 solve larger than n or an eigenvector:
 
 - rounding: |vals - f| + c eps (|f| + sigma), where f is the factored
-  solve of the same block.  For h^2+Q, f is vals itself; h, H and H+Q
-  keep their ``graded_eigvalsh`` values and use f only as the reference.
+  solve of the same block.  For H, H+Q and h^2+Q, f is vals itself, so
+  the first term is 0; h uses f as the reference of its graded values.
 - truncation: sum_{m=n+1}^{2n} A_mk^2 / |A_mm - vals_k|, the second-order
   shift of eigenvalue k by the rows n+1..2n of the same block.
 
@@ -34,6 +34,8 @@ most recently used results are kept.  The arrays of a returned
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +105,11 @@ def trust_scale(kind: str, n):
     return (np.pi * np.asarray(n, dtype=float)) ** power
 
 
-def _l1(f: Coefficient) -> float:
-    """sum |u_j| + sum |w_j|, a bound on sup |f|."""
-    return sum(abs(x) for x in f.u + f.w)
+def _sup_bound(f: Coefficient) -> float:
+    """|u_0| + sum_j hypot(u_j, w_j), a bound on sup |f| that no circle
+    shift changes: a shift rotates each pair (u_j, w_j)."""
+    pairs = itertools.zip_longest(f.u[1:], f.w, fillvalue=0.0)
+    return abs(f.u[0]) + sum(math.hypot(a, b) for a, b in pairs)
 
 
 def factored_shift(spec: OperatorSpec) -> float:
@@ -117,10 +121,10 @@ def factored_shift(spec: OperatorSpec) -> float:
     ||y''||^2 - 2 P ||y'||^2 >= -P^2 ||y||^2 when ||y'||^2 <= ||y''|| ||y||.
     """
     if spec.kind == KIND_SECOND_ORDER:
-        return 1.0 + _l1(spec.p)
+        return 1.0 + _sup_bound(spec.p)
     if spec.kind == KIND_SQUARE_PLUS_Q:
-        return 1.0 + _l1(spec.Q)
-    return 1.0 + _l1(spec.p) ** 2 + _l1(spec.fourth_order_q())
+        return 1.0 + _sup_bound(spec.Q)
+    return 1.0 + _sup_bound(spec.p) ** 2 + _sup_bound(spec.fourth_order_q())
 
 
 def _truncation(coupling: np.ndarray, diag: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -146,7 +150,7 @@ def spectrum(spec: OperatorSpec, n: int) -> Spectrum:
     coarse = block[:n]
     sigma = factored_shift(spec)
     f = factored_eigvalsh(coarse, sigma)
-    vals = f if spec.kind == KIND_SQUARE_PLUS_Q else graded_eigvalsh(coarse)
+    vals = graded_eigvalsh(coarse) if spec.kind == KIND_SECOND_ORDER else f
     est = np.abs(vals - f) + ROUNDING_C * np.finfo(float).eps * (np.abs(f) + sigma)
     est += _truncation(block[n:], assemble_diagonal(spec, 2 * n)[n:], vals)
     ok = est <= TRUST_TOL_DEFAULT * trust_scale(spec.kind, np.arange(1, n + 1))

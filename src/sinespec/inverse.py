@@ -14,9 +14,9 @@ CLI.  Its model of the IPR1 and IP2 sums carries the 1/n^2 constant that
 second-order perturbation theory derives from the Galerkin entries and
 leaves only its third-order part.  At the default sizes, under
 p = cos(2 pi x), it recovers q = sin(2 pi x) on a 16-point grid to
-2.4e-4 and Q = sin(2 pi x) on a 4-point grid to 6.5e-5, against 7.9e-4
-and 1.2e-4 with ``richardson``, which needs no model.  Q is read from
-h^2+Q spectra solved by the factored solve (see ``eigensolve``).
+3.8e-5 and Q = sin(2 pi x) on a 4-point grid to 6.5e-5, against 1.2e-4
+and 1.2e-4 with ``richardson``, which needs no model.  q and Q are read
+from H and h^2+Q spectra solved by the factored solve (see ``eigensolve``).
 """
 
 from __future__ import annotations

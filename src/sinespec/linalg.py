@@ -14,7 +14,7 @@ def graded_eigvalsh(a):
     eps * ||A||, which at basis size 1024 is ~1e-2 for the fourth-order
     family.  Flipping the index order so the dominant block is processed
     first restores near-local accuracy for the small eigenvalues (observed
-    ~1e-9..1e-4 instead of ~1e-2 on dense-coupled instances).
+    ~1e-9..1e-4 instead of ~1e-2 on dense-coupled instances).  It solves h.
 
     The flipped view goes to numpy as it is: numpy copies every input
     into LAPACK's column-major buffer anyway, so a contiguous copy made
@@ -32,9 +32,9 @@ def factored_eigvalsh(a, sigma: float):
     Veselic, SIMAX 1992).  Each eigenvalue keeps a few eps of itself,
     plus eps * sigma, where ``graded_eigvalsh`` errs by up to eps * ||a||
     (measured <= 4.2e-15 relative against cyclic Jacobi in the tests).
-    It solves h^2+Q and is the rounding reference of every other kind's
-    error estimate (``eigensolve.spectrum``).  At n = 256 it costs about
-    three ``graded_eigvalsh`` solves.
+    It solves every fourth-order kind, H, H+Q and h^2+Q, and is the
+    rounding reference of the second-order h (``eigensolve.spectrum``).
+    At n = 256 it costs about three ``graded_eigvalsh`` solves.
     """
     b = np.array(np.asarray(a)[::-1, ::-1])
     b[np.diag_indices_from(b)] += sigma

@@ -501,9 +501,10 @@ def tail_accelerate(
     -c_2n(V) + C/n^2 of its effective q, with V = q_eff - q0 - p''/2
     closed through the endpoint-jump series and C derived by second-order
     perturbation theory from the Galerkin entries.  Left out is the
-    third-order part of C; TRQ0 is refused.  ``richardson`` extrapolates
-    2 S_{2m} - S_m against a C/K tail and needs no model.  ``none``
-    returns S_k.
+    third-order part of C; TRQ0 is refused.  ``richardson`` needs no
+    model: it fits the C of a C/n^2 summand tail to S_k and S_m, m = k // 2,
+    as C = (S_k - S_m) / (z(m) - z(k)) with z(k) = sum_{n > k} 1/n^2, and
+    returns S_k + C z(k).  ``none`` returns S_k.
     """
     formula = FormulaId(formula)
     check_acceleration(formula, k, mode)
@@ -515,7 +516,8 @@ def tail_accelerate(
         return s_k
     if mode == "richardson":
         m = k // 2
-        return float(2.0 * partial[2 * m - 1] - partial[m - 1])
+        c_fit = (s_k - float(partial[m - 1])) / (_zeta2_tail(m) - _zeta2_tail(k))
+        return s_k + c_fit * _zeta2_tail(k)
     return FORMULAS[formula].tail(s_k, coeffs, k)
 
 

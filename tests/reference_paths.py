@@ -28,7 +28,7 @@ import numpy as np
 
 from sinespec import Coefficient, assemble_spec, factored_eigvalsh, graded_eigvalsh
 from sinespec.eigensolve import ROUNDING_C, TRUST_TOL_DEFAULT, factored_shift, trust_scale
-from sinespec.operators import KIND_SQUARE_PLUS_Q
+from sinespec.operators import KIND_SECOND_ORDER
 
 _ROWS = 32
 
@@ -49,7 +49,7 @@ def square_spectrum(spec, n):
     coarse = fine[:n, :n]
     sigma = factored_shift(spec)
     f = factored_eigvalsh(coarse, sigma)
-    vals = f if spec.kind == KIND_SQUARE_PLUS_Q else graded_eigvalsh(coarse)
+    vals = graded_eigvalsh(coarse) if spec.kind == KIND_SECOND_ORDER else f
     est = np.abs(vals - f) + ROUNDING_C * np.finfo(float).eps * (np.abs(f) + sigma)
     est += _square_truncation(fine, vals)
     ok = est <= TRUST_TOL_DEFAULT * trust_scale(spec.kind, np.arange(1, n + 1))

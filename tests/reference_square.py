@@ -9,7 +9,14 @@ that share only the multiplication matrix.
 
 import numpy as np
 
-from sinespec import assemble_h, graded_eigvalsh, multiplication_matrix
+from sinespec import (
+    KIND_SQUARE_PLUS_Q,
+    OperatorSpec,
+    assemble_h,
+    factored_eigvalsh,
+    multiplication_matrix,
+)
+from sinespec.eigensolve import factored_shift
 
 
 def graded_eigh(a):
@@ -44,7 +51,13 @@ def padded_h2_plus_Q(p, Q, n, n_pad):
 
 def padded_spectrum(p, Q, n):
     """Eigenvalues of the padded section at n (padding 2n) and their change
-    against the section at 2n (padding 4n), as ``spectrum`` once solved it."""
-    vals = graded_eigvalsh(padded_h2_plus_Q(p, Q, n, 2 * n))
-    fine = graded_eigvalsh(padded_h2_plus_Q(p, Q, 2 * n, 4 * n))
+    against the section at 2n (padding 4n).
+
+    Both sections are h^2 plus the projection of Q, so each is bounded
+    below by -sup |Q| and is solved by the factored solve with the shift
+    ``spectrum`` takes for h^2+Q.
+    """
+    sigma = factored_shift(OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=Q))
+    vals = factored_eigvalsh(padded_h2_plus_Q(p, Q, n, 2 * n), sigma)
+    fine = factored_eigvalsh(padded_h2_plus_Q(p, Q, 2 * n, 4 * n), sigma)
     return vals, np.abs(vals - fine[:n])

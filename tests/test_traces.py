@@ -231,9 +231,27 @@ def test_trf3_summand_tracks_second_order_constant(p, q):
 
 
 def test_richardson_formula():
-    parts = np.array([1.0 - 1.0 / k for k in range(1, 33)])
-    acc = tail_accelerate(FormulaId.TRQ0, parts, CoefficientSet(), 32, "richardson")
-    assert acc == pytest.approx(1.0, abs=1e-12)
+    # summands whose tail is exactly C/n^2: richardson returns their limit
+    head = np.array([0.5, -0.25, 0.125])
+    for k in (8, 31, 32, 64):
+        for c in (-0.75, 0.01, 2.0):
+            terms = np.array([c / (n * n) for n in range(1, k + 1)])
+            terms[: head.size] += head
+            limit = float(head.sum()) + c * math.pi**2 / 6.0
+            parts = np.cumsum(terms)
+            acc = tail_accelerate(FormulaId.TRQ0, parts, CoefficientSet(), k, "richardson")
+            assert acc == pytest.approx(limit, abs=1e-12), (k, c)
+
+
+def test_richardson_closes_seeded_trq0_within_1e_3():
+    # 2 S_K - S_{K/2} missed 12 of these 30 inputs, by up to 4.1e-3
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        deg = int(rng.integers(2, 5))
+        p = Coefficient(u=tuple(rng.uniform(-1.0, 1.0, deg + 1)),
+                        w=tuple(rng.uniform(-1.0, 1.0, deg)))
+        report = verify(FormulaId.TRQ0, CoefficientSet(p=p), mode="richardson")
+        assert abs(report.gap) <= 1e-3, p
 
 
 def test_fourier_mode_rejected_for_trq0():
