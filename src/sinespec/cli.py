@@ -63,7 +63,7 @@ def load_coefficient(path: str | None) -> Coefficient:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CoefficientFileError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CoefficientFileError(
@@ -336,7 +336,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (PreconditionError, CoefficientFileError) as exc:
+    except (PreconditionError, CoefficientFileError, OSError) as exc:
+        # OSError: an --out or --dump-matrix path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (NumericError, np.linalg.LinAlgError) as exc:

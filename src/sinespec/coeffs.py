@@ -16,10 +16,12 @@ exactly when every odd-frequency amplitude vanishes.
 A coefficient is frozen and hashes by its amplitudes, hashed once at
 construction, so what depends on it alone is memoized by value with
 ``functools.lru_cache`` at a fixed maxsize: ``Coefficient.functionals``,
-``Coefficient.l2sq``, ``Coefficient.shift``, ``Coefficient.is_one_periodic``
-and ``build_V``.  Equal coefficients built as separate objects share one
-entry, and every value returned is frozen too.  Keys compare with ``==``,
-so amplitudes 0.0 and -0.0 are one key.
+``Coefficient.shift`` and ``Coefficient.is_one_periodic``.  Equal
+coefficients built as separate objects share one entry, and every value
+returned is frozen too.  Keys compare with ``==``, so amplitudes 0.0
+and -0.0 are one key.  ``Coefficient.l2sq`` and ``build_V`` are not
+memoized: they run on a miss of a memoized caller in ``traces``, or once
+per report.
 """
 
 from __future__ import annotations
@@ -42,7 +44,11 @@ __all__ = [
 
 
 def _trimmed(values, keep_one=False):
-    vals = [float(v) for v in values]
+    try:
+        vals = [float(v) for v in values]
+    except OverflowError:
+        # an integer beyond the float range is no finite real either
+        vals = [math.inf]
     if not all(math.isfinite(v) for v in vals):
         raise ValueError("coefficient amplitudes must be finite reals")
     while vals and vals[-1] == 0.0 and (len(vals) > 1 or not keep_one):
@@ -281,9 +287,8 @@ class Coefficient:
             d2_1=float(-((pj**2) * ua * sgn).sum()),
         )
 
-    @functools.lru_cache(maxsize=256)
     def l2sq(self) -> float:
-        """int f^2, the mean of the exact product f * f.  Memoized by value."""
+        """int f^2, the mean of the exact product f * f."""
         return (self * self)._mean()
 
 
@@ -349,7 +354,6 @@ def big_P(f: Coefficient) -> float:
     return (fn.d1_1 - fn.d1_0) + f.l2sq()
 
 
-@functools.lru_cache(maxsize=256)
 def build_V(p: Coefficient, q: Coefficient) -> Coefficient:
     """The combination V = q - p''/2 entering the fourth-order identities."""
     return q - p.derivative(2).scale(0.5)

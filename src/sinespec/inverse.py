@@ -128,7 +128,7 @@ def sweep(
     check_preconditions(formula, coeffs)
     if target == "p_second_order" and abs(template.p.functionals().mean) > MEAN_TOL:
         raise PreconditionError("second-order recovery requires zero-mean p")
-    check_acceleration(formula, k, mode)
+    check_acceleration(k, mode)
 
     taus = np.arange(grid_size, dtype=float) / grid_size
     # the coefficients at each grid point and at the wrap point tau = 1,

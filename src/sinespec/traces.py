@@ -35,9 +35,9 @@ for q (q0 = int q_eff shifts every eigenvalue by q0):
     TR3 = TRF3(lam) - TRF3(mu) COR1, IP2 = TRF3(nu) - TRF3(alpha)
 
 so one summand, one right side and one ``fourier`` tail, -c_2n(V) + C/n^2
-per term, serve all eight.  ``FORMULAS`` holds one entry per id: GLF
-with its own summand, right side and tail, and for the others only the
-signed roles, the tolerance and the hypotheses.  A circle shift is a
+per term, serve all eight, in every mode.  ``FORMULAS`` holds one entry
+per id: GLF with its own summand, right side and tail, and for the
+others only the signed roles, the tolerance and the hypotheses.  A circle shift is a
 property of the coefficients, f(x) -> f(x + tau), and is applied once,
 by ``CoefficientSet.shifted``: at a shift tau, ``verify`` reads the
 spectra, summand, tail and right side of the shifted set, and a right
@@ -52,7 +52,8 @@ Whatever depends only on the input is memoized by value in bounded
 pays only for its arithmetic: it sums, accelerates and fits again, and no
 report is memoized.  ``Formula.read`` holds, per identity and coefficient
 set, the role specs, the summand's p0, P and q0, the right side and each
-term's tail model; ``check_preconditions`` keeps only the inputs that
+term's tail model, and on a miss builds each role's spec, q_eff and V
+once; ``check_preconditions`` keeps only the inputs that
 pass, so a refusal is raised on every call; ``CoefficientSet.shifted``
 and ``CoefficientSet.digest``, (pi n)^2 and log n per K, and the
 ``fourier`` tail pieces are memoized too.  The rate exponent is the
@@ -188,16 +189,6 @@ def _role_spec(role: str, cs: CoefficientSet) -> OperatorSpec:
     return OperatorSpec(kind, **{name: getattr(cs, name) for name in names})
 
 
-@functools.lru_cache(maxsize=256)
-def _effective_q(role: str, cs: CoefficientSet) -> tuple:
-    """(q_eff - mean(q_eff), mean(q_eff)) of a role, q_eff being its spec's
-    ``fourth_order_q``; the mean only shifts every eigenvalue.  Memoized
-    by value, like ``spectrum``."""
-    q = _role_spec(role, cs).fourth_order_q()
-    q0 = q.functionals().mean
-    return q - Coefficient.constant(q0), q0
-
-
 @functools.lru_cache(maxsize=64)
 def _z2(k: int) -> np.ndarray:
     """(pi n)^2, n = 1..k, read-only."""
@@ -302,14 +293,14 @@ class Formula:
     tracks.  The signs sum to 1 (one TRF3 sum) or to 0 (a difference of
     two, whose p-only counterterms cancel).  ``tol``: the tolerance at
     the default sizes.  ``hypotheses``: (coefficient, hypothesis) pairs.
-    ``fourier``: whether the ``fourier`` tail model applies.  Entries
+    Nothing else differs between entries: every one reads its summand,
+    right side and ``fourier`` tail through the same TRF3 terms.  Entries
     compare and hash by identity: each is one entry of ``FORMULAS``.
     """
 
     terms: tuple
     tol: float
     hypotheses: tuple = ()
-    fourier: bool = True
 
     @property
     def roles(self) -> tuple:
@@ -324,18 +315,21 @@ class Formula:
 
     def _read(self, cs: CoefficientSet) -> _Reading:
         p0, P = cs.p.functionals().mean, big_P(cs.p)
-        qs = [(sign, *_effective_q(role, cs)) for role, sign in self.terms]
-        # the closed-form right side -(P - p0^2 + V(0) + V(1))/4 per term,
-        # V = q_eff - mean(q_eff) - p''/2
-        right = 0.0
-        for sign, q, _ in qs:
-            fv = build_V(cs.p, q).functionals()
+        specs, tail, q0, right = [], [], 0.0, 0.0
+        for role, sign in self.terms:
+            spec = _role_spec(role, cs)
+            q_eff = spec.fourth_order_q()
+            # q_eff less its mean, which only shifts every eigenvalue
+            mean = q_eff.functionals().mean
+            q = q_eff - Coefficient.constant(mean)
+            v = build_V(cs.p, q)
+            fv = v.functionals()
+            specs.append((role, spec))
+            tail.append((sign, q, v))
+            q0 += sign * mean
+            # the closed-form right side -(P - p0^2 + V(0) + V(1))/4 per term
             right += sign * -0.25 * ((P - p0 * p0) + fv.end0 + fv.end1)
-        return _Reading(
-            specs=tuple((role, _role_spec(role, cs)) for role in self.roles),
-            p0=p0, P=P, q0=sum(sign * q0 for sign, _, q0 in qs), rhs=right,
-            tail=tuple((sign, q, build_V(cs.p, q)) for sign, q, _ in qs),
-        )
+        return _Reading(specs=tuple(specs), p0=p0, P=P, q0=q0, rhs=right, tail=tuple(tail))
 
     def summand(self, vals, cs: CoefficientSet, z2):
         """The regularized summands n = 1..k from ``vals[role]``, the lowest
@@ -381,18 +375,17 @@ class _SecondOrder(Formula):
 
 
 # Tolerances at the default sizes (N=256, K=64), sized from what the tail
-# models leave: 1e-2 where an O(1/n^2) tail is left (S01, TRF3 and IPR1,
-# whose 1/n^2 constant is modeled to second order only, leaving the
-# third-order part; TRQ0, which has richardson only), 1e-3 where less is
-# left (GLF; TRS, whose constant p has no 1/n^2 term; and TR3, COR1 and
-# IP2, differences of two TRF3 sums over the same p, whose third-order
-# parts largely cancel).
+# models leave: 1e-2 where an O(1/n^2) tail is left (S01, TRF3, TRQ0 and
+# IPR1, whose 1/n^2 constant is modeled to second order only, leaving the
+# third-order part), 1e-3 where less is left (GLF; TRS, whose constant p
+# has no 1/n^2 term; and TR3, COR1 and IP2, differences of two TRF3 sums
+# over the same p, whose third-order parts largely cancel).
 FORMULAS = {
     FormulaId.GLF: _SecondOrder((("alpha", 1),), 1e-3),
     FormulaId.S01: Formula((("alpha", 1),), 1e-2),
     FormulaId.TRF3: Formula((("mu", 1),), 1e-2, (("q", "zero_mean"),)),
     FormulaId.TRS: Formula((("mu", 1),), 1e-3, (("q", "zero_mean"), ("p", "constant"))),
-    FormulaId.TRQ0: Formula((("mu", 1),), 1e-2, (("q", "zero"),), fourier=False),
+    FormulaId.TRQ0: Formula((("mu", 1),), 1e-2, (("q", "zero"),)),
     FormulaId.TR3: Formula((("lam", 1), ("mu", -1)), 1e-3),
     FormulaId.COR1: Formula((("nu", 1), ("alpha", -1)), 1e-3),
     FormulaId.IPR1: Formula(
@@ -435,17 +428,12 @@ def check_preconditions(formula: FormulaId, coeffs: CoefficientSet) -> None:
             raise PreconditionError(f"{formula.value} requires " + must_be.format(c=name))
 
 
-def check_acceleration(formula: FormulaId, k: int, mode: str) -> None:
-    """Refuse, before any solve, K < 8, an unknown mode, or fourier without a model."""
-    formula = FormulaId(formula)
+def check_acceleration(k: int, mode: str) -> None:
+    """Refuse, before any solve, K < 8 or an unknown mode."""
     if k < 8:
         raise PreconditionError("tail acceleration requires K >= 8")
     if mode not in ("none", "richardson", "fourier"):
         raise ValueError(f"unknown acceleration mode {mode!r}")
-    if mode == "fourier" and not FORMULAS[formula].fourier:
-        raise PreconditionError(
-            f"fourier tail model is not defined for {formula.value}; use richardson"
-        )
 
 
 def spectra_for(formula: FormulaId, coeffs: CoefficientSet, n: int):
@@ -500,14 +488,14 @@ def tail_accelerate(
     every fourth-order formula, per signed term, the TRF3 law
     -c_2n(V) + C/n^2 of its effective q, with V = q_eff - q0 - p''/2
     closed through the endpoint-jump series and C derived by second-order
-    perturbation theory from the Galerkin entries.  Left out is the
-    third-order part of C; TRQ0 is refused.  ``richardson`` needs no
+    perturbation theory from the Galerkin entries; TRQ0 reads TRF3's at
+    q = 0.  Left out is the third-order part of C.  ``richardson`` needs no
     model: it fits the C of a C/n^2 summand tail to S_k and S_m, m = k // 2,
     as C = (S_k - S_m) / (z(m) - z(k)) with z(k) = sum_{n > k} 1/n^2, and
     returns S_k + C z(k).  ``none`` returns S_k.
     """
     formula = FormulaId(formula)
-    check_acceleration(formula, k, mode)
+    check_acceleration(k, mode)
     partial = np.asarray(partial, dtype=float)
     if partial.size < k:
         raise ValueError("partial sums shorter than K")
@@ -588,7 +576,7 @@ def verify(
             coeffs = replace(coeffs, q=coeffs.q - Coefficient.constant(q0))
             q0_shift = q0
     check_preconditions(formula, coeffs)
-    check_acceleration(formula, k, mode)
+    check_acceleration(k, mode)
     digest = coeffs.digest() + f" tau={tau:g}"
     if q0_shift:
         digest += f" q0_shift={q0_shift:.17g}"
@@ -754,8 +742,11 @@ def dispute(
     k: int = 64,
     tol: float = 1e-2,
 ) -> DisputeReport:
-    """Adjudicate one historical trace/asymptotics disagreement numerically."""
+    """Adjudicate one historical trace/asymptotics disagreement numerically
+    within ``tol``, a finite positive number."""
     variant = DisputeVariant(variant)
+    if not 0.0 < tol < math.inf:
+        raise PreconditionError(f"tolerance must be a finite positive number, not {tol}")
     fp = p.functionals()
     if variant in (DisputeVariant.DIKII_TRFD1, DisputeVariant.DIKII_D2):
         if q is not None:

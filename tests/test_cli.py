@@ -8,9 +8,7 @@ from sinespec import (
     KIND_SECOND_ORDER,
     KIND_SQUARE_PLUS_Q,
     OperatorSpec,
-    eigensolve,
     recover_Q,
-    spectrum,
     sweep,
 )
 from sinespec.cli import main
@@ -122,17 +120,26 @@ def test_spectrum_reads_no_truncation(one):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["trace", "--formula", "TRQ0", "-N", "64", "-K", "16"],
         ["trace", "--formula", "GLF", "-N", "64", "-K", "-4"],
         ["spectrum", "-N", "4"],
         ["localize", "-N", "4"],
+        ["spectrum", "-N", "8", "--q", "{not-utf8}"],
+        ["spectrum", "-N", "8", "--q", "{huge-int}"],
+        ["spectrum", "-N", "8", "--out", "{no-dir}/spec.csv"],
+        ["spectrum", "-N", "8", "--dump-matrix", "{no-dir}/mat.csv"],
     ],
-    ids=["trq0-fourier", "negative-k", "spectrum-small-n", "localize-small-n"],
+    ids=["negative-k", "spectrum-small-n", "localize-small-n", "not-utf8", "huge-int",
+         "out-unwritable", "dump-matrix-unwritable"],
 )
-def test_bad_input_exits_2_with_message(capsys, cos2, argv):
+def test_bad_input_exits_2_with_message(tmp_path, capsys, cos2, argv):
+    (tmp_path / "not-utf8").write_bytes(b'\xff{"u": [1]}')
+    (tmp_path / "huge-int").write_text('{"u": [1' + "0" * 400 + "]}")
+    argv = [a.format(**{name: tmp_path / name for name in ("not-utf8", "huge-int", "no-dir")})
+            for a in argv]
     code = main(argv + ["--p", cos2])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
@@ -414,12 +421,10 @@ def test_sweep_recover_Q_and_p2_csv_match_library(tmp_path, cos2, target, templa
     assert [f"{float(row[1]):.17g}" for row in rows] == [f"{v:.17g}" for v in library[:, 1]]
 
 
-def test_trq0_fourier_refused_before_any_assembly(monkeypatch, capsys, cos2):
-    calls = []
-    real = eigensolve.assemble_spec
-    monkeypatch.setattr(eigensolve, "assemble_spec",
-                        lambda spec, n, rows=None: calls.append(n) or real(spec, n, rows))
-    spectrum.cache_clear()
-    assert main(["trace", "--formula", "TRQ0", "--p", cos2, "-N", "64", "-K", "16"]) == 2
-    assert "fourier tail model is not defined" in capsys.readouterr().err
-    assert calls == []
+def test_trace_trq0_gives_trf3_gap(capsys, cos2):
+    # TRQ0 is TRF3 at q = 0, in the default fourier mode too
+    gaps = []
+    for formula in ("TRF3", "TRQ0"):
+        assert main(["trace", "--formula", formula, "--p", cos2, "-N", "64", "-K", "16"]) == 0
+        gaps.append(capsys.readouterr().out.split()[1])
+    assert gaps[0].startswith("gap=") and gaps[1] == gaps[0]

@@ -36,6 +36,14 @@ def test_evaluate_rejects_points_outside_interval():
         ZERO.evaluate(1.5)
 
 
+@pytest.mark.parametrize("amp", [math.nan, math.inf, 10**400, -(10**400)])
+def test_amplitudes_must_be_finite_reals(amp):
+    # an integer beyond the float range is refused like a non-finite float
+    for fields in ({"u": (0.0, amp)}, {"w": (amp,)}):
+        with pytest.raises(ValueError, match="finite reals"):
+            Coefficient(**fields)
+
+
 # -- derivative --------------------------------------------------------------
 
 

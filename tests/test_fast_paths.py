@@ -6,8 +6,8 @@ caches, coefficient sums and products and the compensated sum over Python
 floats, the searchsorted localization counts, and the closed-form rate
 fit.  ``verify`` is held to the public functions it calls, and those
 still refuse bad input on every call.  The last tests check the memo
-caches: every one is found, and a repeated panel pass computes nothing
-again.
+caches: every one is found, every one is hit on the panel and a sweep,
+and a repeated panel pass computes nothing again.
 """
 
 import importlib.util
@@ -40,14 +40,16 @@ from sinespec import (
     PreconditionError,
     ZERO,
     assemble_spec,
-    build_V,
     check_preconditions,
     compensated_cumsum,
+    dispute,
     partial_sums,
+    recover_q,
     rhs,
     spectra_for,
     spectrum,
     summand,
+    sweep,
     tail_accelerate,
     verify,
 )
@@ -181,11 +183,6 @@ def test_is_one_periodic_memo_matches_wrapped(f):
     memo_matches_wrapped(Coefficient.is_one_periodic, f)
 
 
-@given(coefficients(max_degree=6), coefficients(max_degree=6))
-def test_build_v_memo_matches_wrapped(p, q):
-    memo_matches_wrapped(build_V, p, q)
-
-
 @given(coefficients(max_degree=6), st.integers(1, 64))
 def test_endpoint_tail_memo_matches_wrapped(g, k):
     memo_matches_wrapped(traces._endpoint_tail, g, k)
@@ -194,11 +191,6 @@ def test_endpoint_tail_memo_matches_wrapped(g, k):
 @given(st.integers(1, 300))
 def test_zeta2_tail_memo_matches_wrapped(k):
     memo_matches_wrapped(traces._zeta2_tail, k)
-
-
-@given(coefficients(max_degree=6))
-def test_l2sq_memo_matches_wrapped(f):
-    memo_matches_wrapped(Coefficient.l2sq, f)
 
 
 def test_digest_memo_reads_the_value_alone():
@@ -390,14 +382,14 @@ def test_verify_equals_the_public_path_bit_for_bit(p, constant_p, q, zero_q, Q, 
     assert checked >= 12
 
 
-TRF3, GLF, TRQ0 = FormulaId.TRF3, FormulaId.GLF, FormulaId.TRQ0
+TRF3, GLF = FormulaId.TRF3, FormulaId.GLF
 VALID = CoefficientSet(p=COS2)
 NONZERO_MEAN_Q = CoefficientSet(p=COS2, q=Coefficient.constant(1.0))
 # cos(60 pi x) at N = 64 couples the low modes past the basis: 4 trusted
 SHORT = CoefficientSet(p=Coefficient.harmonic_cos(60, 10.0))
 ZERO_MEAN_Q = "requires a zero-mean q"
 HORIZON = "beyond the trust horizon 4"
-NO_MODEL = "fourier tail model is not defined for TRQ0"
+BAD_TOL = "tolerance must be a finite positive number"
 REFUSALS = {
     "check_preconditions": (lambda: check_preconditions(TRF3, NONZERO_MEAN_Q), ZERO_MEAN_Q),
     "partial_sums": (lambda: partial_sums(TRF3, spectra_for(TRF3, VALID, 64), NONZERO_MEAN_Q, 16),
@@ -408,8 +400,9 @@ REFUSALS = {
     "partial_sums K": (lambda: partial_sums(GLF, spectra_for(GLF, SHORT, 64), SHORT, 16), HORIZON),
     "summand n": (lambda: summand(GLF, 5, spectra_for(GLF, SHORT, 64), SHORT), HORIZON),
     "verify K": (lambda: verify(GLF, SHORT, n=64, k=16), HORIZON),
-    "tail_accelerate": (lambda: tail_accelerate(TRQ0, np.zeros(16), VALID, 16, "fourier"), NO_MODEL),
-    "verify fourier": (lambda: verify(TRQ0, VALID, n=64, k=16, mode="fourier"), NO_MODEL),
+    "dispute tol nan": (lambda: dispute("DikiiTrfD1", COS2, n=64, k=16, tol=math.nan), BAD_TOL),
+    "dispute tol 0": (lambda: dispute("DikiiTrfD1", COS2, n=64, k=16, tol=0.0), BAD_TOL),
+    "dispute tol -1": (lambda: dispute("DikiiTrfD1", COS2, n=64, k=16, tol=-1.0), BAD_TOL),
 }
 
 
@@ -446,13 +439,10 @@ def test_memo_caches_are_found():
         "Coefficient.functionals",
         "Coefficient.shift",
         "Coefficient.is_one_periodic",
-        "sinespec.coeffs.build_V",
         "sinespec.eigensolve.spectrum",
-        "sinespec.traces._effective_q",
         "sinespec.traces._zeta2_tail",
         "sinespec.traces._endpoint_tail",
         "sinespec.traces._second_order_constant",
-        "Coefficient.l2sq",
         "OperatorSpec.fourth_order_q",
         "CoefficientSet.shifted",
         "CoefficientSet.digest",
@@ -469,6 +459,21 @@ def trace_suite_panel():
     module = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(module)
     return module.PANEL
+
+
+def test_every_memo_cache_is_hit():
+    # a memo no call path hits only costs its bookkeeping.  The sweep's
+    # template is none of the panel's sets, as in a recovery session.
+    caches = memo_caches()
+    for cache in caches.values():
+        cache.cache_clear()
+    panel = trace_suite_panel()
+    for _ in range(2):
+        for mode in ("fourier", "richardson"):
+            for formula, cs, tau in panel:
+                verify(formula, cs, n=64, k=16, mode=mode, tau=tau)
+    recover_q(sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS4, q=SIN2), 4, n=64, k=16))
+    assert [name for name, cache in caches.items() if cache.cache_info().hits == 0] == []
 
 
 def test_second_panel_pass_misses_no_memo_cache():
