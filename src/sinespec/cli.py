@@ -170,7 +170,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         k=args.k_trunc,
         mode=args.mode,
         tau=args.tau,
-        center_q=args.center_q,
     )
     tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES[formula]
     ok = abs(report.gap) <= tol
@@ -225,6 +224,9 @@ def cmd_localize(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.full_spectra and not (args.out and args.format == "json"):
+        raise PreconditionError("--full-spectra is written only to a JSON report: "
+                                "give --format json and --out")
     target = {"V": "V", "q": "q", "Q": "Q", "p2": "p_second_order"}[args.recover]
     template = _operator_spec(args, target_kind(target))
     result = sweep(
@@ -309,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("trace", cmd_trace, "verify one trace identity", *_SHARED)
     p.add_argument("--formula", required=True, choices=[f.value for f in FormulaId])
-    p.add_argument("--center-q", dest="center_q", action="store_true", help="subtract the mean of q before verifying (formulas that require a zero-mean q)")
 
     p = command("dispute", cmd_dispute, "adjudicate a historical formula",
                 "--p", "--q", "-N", "-K", "--out", "--tol")

@@ -8,6 +8,10 @@ right side (``traces.FORMULAS``), which on the set shifted by tau is
 affine in the target's value at tau:
 value(tau) = (S(tau) - rhs(rest shifted by tau)) / slope, ``rest`` being
 the coefficients with the target removed (for V: q := p''/2, where V = 0).
+Recovery needs a zero-mean target, checked once in ``sweep``: a constant
+added to the target shifts every eigenvalue by that constant and the
+summand's counterterm (q0, Q0, or p0 for second-order p) takes it off
+again, so S(tau) reads only the target less its mean.
 
 The closed-form ``fourier`` tail is the default acceleration, as in the
 CLI.  Its model of the IPR1 and IP2 sums carries the 1/n^2 constant that
@@ -46,14 +50,15 @@ from .traces import (
 __all__ = ["TARGETS", "SweepResult", "sweep", "target_kind",
            "recover_V", "recover_q", "recover_Q", "fit_trig"]
 
-# target: (formula, slope of its right side in the target's value at tau, the
-# template's coefficients with the target removed); a kind's first target is
-# the sweep's default for that kind.
+# target: (formula, the coefficient that must have zero mean, slope of the
+# formula's right side in the target's value at tau, the template's
+# coefficients with the target removed); a kind's first target is the
+# sweep's default for that kind.
 _TARGETS = {
-    "q": (FormulaId.IPR1, -0.5, lambda t: CoefficientSet(p=t.p)),
-    "V": (FormulaId.IPR1, -0.5, lambda t: CoefficientSet(p=t.p, q=0.5 * t.p.derivative(2))),
-    "Q": (FormulaId.IP2, -0.5, lambda t: CoefficientSet(p=t.p)),
-    "p_second_order": (FormulaId.GLF, 0.5, lambda t: CoefficientSet()),
+    "q": (FormulaId.IPR1, "q", -0.5, lambda t: CoefficientSet(p=t.p)),
+    "V": (FormulaId.IPR1, "q", -0.5, lambda t: CoefficientSet(p=t.p, q=0.5 * t.p.derivative(2))),
+    "Q": (FormulaId.IP2, "Q", -0.5, lambda t: CoefficientSet(p=t.p)),
+    "p_second_order": (FormulaId.GLF, "p", 0.5, lambda t: CoefficientSet()),
 }
 TARGETS = tuple(_TARGETS)
 
@@ -123,11 +128,11 @@ def sweep(
         raise PreconditionError(
             f"target {target!r} needs operator kind {target_kind(target)!r}"
         )
-    formula = _TARGETS[target][0]
+    formula, name = _TARGETS[target][:2]
     coeffs = CoefficientSet(p=template.p, q=template.q, Q=template.Q)
     check_preconditions(formula, coeffs)
-    if target == "p_second_order" and abs(template.p.functionals().mean) > MEAN_TOL:
-        raise PreconditionError("second-order recovery requires zero-mean p")
+    if abs(getattr(coeffs, name).functionals().mean) > MEAN_TOL:
+        raise PreconditionError(f"recovering {target} requires a zero-mean {name}")
     check_acceleration(k, mode)
 
     taus = np.arange(grid_size, dtype=float) / grid_size
@@ -167,7 +172,7 @@ def sweep(
 
 def _invert(sr: SweepResult, target: str) -> np.ndarray:
     """Fill ``sr.recovered`` and ``sr.recovered_wrap`` with ``target``'s values."""
-    formula, slope, rest_of = _TARGETS[target]
+    formula, _, slope, rest_of = _TARGETS[target]
     rest, right = rest_of(sr.template), FORMULAS[formula].rhs
     vals = [(s - right(rest.shifted(tau))) / slope
             for tau, s in zip(sr.taus.tolist(), sr.accelerated.tolist())]

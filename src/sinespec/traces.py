@@ -2,20 +2,23 @@
 
 Each formula id names one identity between a regularized eigenvalue sum
 and a closed-form functional of the coefficients (p0 = int p,
-P = (p'(1) - p'(0)) + int p^2, V = q - p''/2; alpha = second-order
-eigenvalues, mu = fourth-order, lambda = fourth-order plus Q,
-nu = squared-second-order plus Q):
+P = (p'(1) - p'(0)) + int p^2; alpha = second-order eigenvalues,
+mu = fourth-order, lambda = fourth-order plus Q, nu = squared-second-order
+plus Q):
 
     GLF   sum(alpha_n - (pi n)^2 + p0)                  = (p(0)+p(1))/4 - p0/2
     S01   sum(alpha_n^2 - ((pi n)^2-p0)^2 - (P-p0^2)/2) = (P+p0^2)/4
                                      - (p(0)^2+p(1)^2)/4 - (p''(0)+p''(1))/8
-    TRF3  sum(mu_n - ((pi n)^2-p0)^2 + (P+p0^2)/2)      = -(P-p0^2+V(0)+V(1))/4
-    TRS   TRF3 with constant p                          = -(q(0)+q(1))/4
+    TRF3  sum(mu_n - ((pi n)^2-p0)^2 + (P+p0^2)/2 - q0) = -(P-p0^2+V(0)+V(1))/4
+    TRS   TRF3 with constant p                          = -(q(0)+q(1)-2 q0)/4
     TRQ0  TRF3 with q = 0                               = -(P-p0^2)/4 + (p''(0)+p''(1))/8
     TR3   sum(lambda_n - mu_n - Q0)                     = -(Q(0)+Q(1)-2 Q0)/4
     COR1  sum(nu_n - Q0 - alpha_n^2)                    = -(Q(0)+Q(1)-2 Q0)/4
     IPR1  TRF3 for the tau-shifted family               = -(P-p0^2+2 V(tau))/4
-    IP2   sum(nu_n(tau) - alpha_n(tau)^2)               = -Q(tau)/2
+    IP2   sum(nu_n(tau) - alpha_n(tau)^2 - Q0)          = -(Q(tau)-Q0)/2
+
+with q0 = int q, Q0 = int Q and V = q - q0 - p''/2: a q or Q of any mean
+is read, the q0 counterterm (below) taking the mean off.
 
 The eight fourth-order identities are one: TRF3 of an effective q.
 Each role names the ``OperatorSpec`` whose spectrum it reads, and that
@@ -64,7 +67,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -166,12 +169,10 @@ ROLES = {
 }
 
 # Hypotheses an identity can place on one coefficient: the test the
-# coefficient must pass, and what the error message says it must be.
+# coefficient must pass, and what the error message says it must be.  A
+# mean is not one: the summand's q0 counterterm takes it off, and only
+# recovery (inverse.sweep) asks for a zero-mean target.
 _HYPOTHESES = {
-    "zero_mean": (
-        lambda f: abs(f.functionals().mean) <= MEAN_TOL,
-        "a zero-mean {c} (int_0^1 {c} = 0)",
-    ),
     "periodic": (lambda f: f.is_zero() or f.is_one_periodic(), "1-periodic {c}"),
     "constant": (lambda f: f.is_constant(), "a constant {c}"),
     "zero": (lambda f: f.is_zero(), "{c} identically zero"),
@@ -292,7 +293,8 @@ class Formula:
     H(p, q_eff) (see ``_role_spec``); the first role is the one a sweep
     tracks.  The signs sum to 1 (one TRF3 sum) or to 0 (a difference of
     two, whose p-only counterterms cancel).  ``tol``: the tolerance at
-    the default sizes.  ``hypotheses``: (coefficient, hypothesis) pairs.
+    the default sizes.  ``hypotheses``: (coefficient, hypothesis) pairs,
+    none of them on a mean, which the summand's q0 takes off.
     Nothing else differs between entries: every one reads its summand,
     right side and ``fourier`` tail through the same TRF3 terms.  Entries
     compare and hash by identity: each is one entry of ``FORMULAS``.
@@ -383,15 +385,13 @@ class _SecondOrder(Formula):
 FORMULAS = {
     FormulaId.GLF: _SecondOrder((("alpha", 1),), 1e-3),
     FormulaId.S01: Formula((("alpha", 1),), 1e-2),
-    FormulaId.TRF3: Formula((("mu", 1),), 1e-2, (("q", "zero_mean"),)),
-    FormulaId.TRS: Formula((("mu", 1),), 1e-3, (("q", "zero_mean"), ("p", "constant"))),
+    FormulaId.TRF3: Formula((("mu", 1),), 1e-2),
+    FormulaId.TRS: Formula((("mu", 1),), 1e-3, (("p", "constant"),)),
     FormulaId.TRQ0: Formula((("mu", 1),), 1e-2, (("q", "zero"),)),
     FormulaId.TR3: Formula((("lam", 1), ("mu", -1)), 1e-3),
     FormulaId.COR1: Formula((("nu", 1), ("alpha", -1)), 1e-3),
-    FormulaId.IPR1: Formula(
-        (("mu", 1),), 1e-2, (("q", "zero_mean"), ("p", "periodic"), ("q", "periodic"))),
-    FormulaId.IP2: Formula(
-        (("nu", 1), ("alpha", -1)), 1e-3, (("Q", "zero_mean"), ("Q", "periodic"))),
+    FormulaId.IPR1: Formula((("mu", 1),), 1e-2, (("p", "periodic"), ("q", "periodic"))),
+    FormulaId.IP2: Formula((("nu", 1), ("alpha", -1)), 1e-3, (("Q", "periodic"),)),
 }
 
 DEFAULT_TOLERANCES = {formula: entry.tol for formula, entry in FORMULAS.items()}
@@ -524,7 +524,6 @@ class TraceReport:
     mode: str = "fourier"
     basis_n: int = 256
     tau: float = 0.0
-    q0_shift: float = 0.0
 
 
 def _fit_rate(partial: np.ndarray, accelerated: float, k: int) -> float:
@@ -550,36 +549,19 @@ def verify(
     k: int = 64,
     mode: str = "fourier",
     tau: float = 0.0,
-    center_q: bool = False,
 ) -> TraceReport:
     """Full verification: spectra, partial sums, acceleration, gap, rate.
 
     The hypotheses, which no shift changes, are checked on ``coeffs``;
-    everything else reads ``coeffs.shifted(tau)``.  ``center_q`` replaces
-    q by q - q0 before checking hypotheses (the eigenvalues shift by
-    exactly -q0); the applied shift is recorded.  It applies only where
-    the identity demands a zero-mean q, and is refused elsewhere.  By
-    default a nonzero-mean q is rejected where the identity demands a
-    zero mean.
+    everything else reads ``coeffs.shifted(tau)``.  A q or Q of any mean
+    is accepted: the identity verified is that of the centred coefficient,
+    whose eigenvalues differ by exactly the mean.
     """
     formula = FormulaId(formula)
     check_basis_size(n, k)
-    q0_shift = 0.0
-    if center_q:
-        if ("q", "zero_mean") not in FORMULAS[formula].hypotheses:
-            raise PreconditionError(
-                f"centering q applies only to identities that require a zero-mean q; "
-                f"{formula.value} does not"
-            )
-        q0 = coeffs.q.functionals().mean
-        if q0 != 0.0:
-            coeffs = replace(coeffs, q=coeffs.q - Coefficient.constant(q0))
-            q0_shift = q0
     check_preconditions(formula, coeffs)
     check_acceleration(k, mode)
     digest = coeffs.digest() + f" tau={tau:g}"
-    if q0_shift:
-        digest += f" q0_shift={q0_shift:.17g}"
     coeffs = coeffs.shifted(tau)
     spectra = spectra_for(formula, coeffs, n)
     parts = partial_sums(formula, spectra, coeffs, k)
@@ -597,7 +579,6 @@ def verify(
         mode=mode,
         basis_n=n,
         tau=tau,
-        q0_shift=q0_shift,
     )
 
 

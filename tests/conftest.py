@@ -1,8 +1,15 @@
-import hypothesis.strategies as st
-import numpy as np
-from hypothesis import HealthCheck, settings
+import os
 
-from sinespec import Coefficient, CoefficientSet, OperatorSpec
+# Eigenvalue bits depend on the BLAS thread count: fix it at one, as the
+# benchmark does, before numpy loads, so the suite reads the benchmark's bits.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hypothesis.strategies as st  # noqa: E402
+import numpy as np  # noqa: E402
+from hypothesis import HealthCheck, settings  # noqa: E402
+
+from sinespec import Coefficient, CoefficientSet, OperatorSpec  # noqa: E402
 
 settings.register_profile(
     "suite",

@@ -98,12 +98,18 @@ def test_bad_field_type_exits_2(tmp_path, capsys):
     assert "'u'" in err
 
 
-def test_precondition_violation_exits_2(tmp_path, capsys):
-    q = write_coeff(tmp_path, "shifted.json", u=(0.5, 0, 1.0))
-    code = main(["trace", "--formula", "TRF3", "--q", q, "-N", "64", "-K", "16"])
+def test_precondition_violation_exits_2(capsys, cos2):
+    code = main(["trace", "--formula", "TRQ0", "--q", cos2, "-N", "64", "-K", "16"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "zero-mean" in err
+    assert err.startswith("error: ") and "requires q identically zero" in err
+
+
+def test_trace_trs_reads_a_q_of_any_mean(tmp_path, capsys):
+    # the q0 counterterm takes the mean off: TRS verifies the centred q's identity
+    q = write_coeff(tmp_path, "cos2-plus.json", u=(0.7, 0, 1.0))
+    assert main(["trace", "--formula", "TRS", "--q", q, "-N", "64", "-K", "16"]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
 
 
 def test_n_must_cover_2k(capsys, one):
@@ -127,15 +133,17 @@ def test_spectrum_reads_no_truncation(one):
         ["spectrum", "-N", "8", "--q", "{huge-int}"],
         ["spectrum", "-N", "8", "--out", "{no-dir}/spec.csv"],
         ["spectrum", "-N", "8", "--dump-matrix", "{no-dir}/mat.csv"],
+        ["sweep", "--recover", "V", "--grid", "4", "-N", "16", "-K", "8", "--full-spectra",
+         "--out", "{sweep-out}"],
     ],
     ids=["negative-k", "spectrum-small-n", "localize-small-n", "not-utf8", "huge-int",
-         "out-unwritable", "dump-matrix-unwritable"],
+         "out-unwritable", "dump-matrix-unwritable", "full-spectra-csv"],
 )
 def test_bad_input_exits_2_with_message(tmp_path, capsys, cos2, argv):
     (tmp_path / "not-utf8").write_bytes(b'\xff{"u": [1]}')
     (tmp_path / "huge-int").write_text('{"u": [1' + "0" * 400 + "]}")
-    argv = [a.format(**{name: tmp_path / name for name in ("not-utf8", "huge-int", "no-dir")})
-            for a in argv]
+    names = ("not-utf8", "huge-int", "no-dir", "sweep-out")
+    argv = [a.format(**{name: tmp_path / name for name in names}) for a in argv]
     code = main(argv + ["--p", cos2])
     assert code == 2
     err = capsys.readouterr().err
@@ -335,6 +343,7 @@ def test_unknown_command_rejected():
         ["localize", "--tol", "1"],
         ["sweep", "--recover", "q", "--tau", "0.1"],
         ["sweep", "--recover", "q", "--tol", "1"],
+        ["trace", "--center-q", "--formula=TRS"],
     ],
     ids=lambda argv: f"{argv[0]} {argv[-2]}",
 )
@@ -366,24 +375,12 @@ def test_unread_input_exits_2(capsys, cos2, argv, message):
     assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("formula", ["TR3", "COR1"])
-def test_center_q_on_a_formula_without_zero_mean_q_exits_2(tmp_path, capsys, cos2, formula):
-    q05 = write_coeff(tmp_path, "q05.json", u=(0.5, 0, 1.0))
-    argv = ["trace", "--formula", formula, "--Q", cos2, "-N", "64", "-K", "16"]
-    argv += ["--q", q05] if formula == "TR3" else ["--p", cos2]
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert main(argv + ["--center-q"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "zero-mean q" in err
-
-
 @pytest.mark.parametrize(
     "argv, keys",
     [
         (["trace", "--formula", "GLF", "--p", "COS2", "-K", "16", "--format", "json"],
          ["formula", "k_used", "partial", "accelerated", "rhs", "gap", "rate_exponent",
-          "inputs_digest", "mode", "basis_n", "tau", "q0_shift"]),
+          "inputs_digest", "mode", "basis_n", "tau"]),
         (["spectrum", "--kind", "H", "--p", "COS2", "--format", "json"],
          ["kind", "basis_n", "n_trusted", "vals", "est_abs_err"]),
         (["dispute", "--variant", "DikiiTrfD1", "--p", "COS2", "-K", "16"],

@@ -382,21 +382,21 @@ def test_verify_equals_the_public_path_bit_for_bit(p, constant_p, q, zero_q, Q, 
     assert checked >= 12
 
 
-TRF3, GLF = FormulaId.TRF3, FormulaId.GLF
+TRQ0, GLF = FormulaId.TRQ0, FormulaId.GLF
 VALID = CoefficientSet(p=COS2)
-NONZERO_MEAN_Q = CoefficientSet(p=COS2, q=Coefficient.constant(1.0))
+NONZERO_Q = CoefficientSet(p=COS2, q=Coefficient.constant(1.0))
 # cos(60 pi x) at N = 64 couples the low modes past the basis: 4 trusted
 SHORT = CoefficientSet(p=Coefficient.harmonic_cos(60, 10.0))
-ZERO_MEAN_Q = "requires a zero-mean q"
+ZERO_Q = "requires q identically zero"
 HORIZON = "beyond the trust horizon 4"
 BAD_TOL = "tolerance must be a finite positive number"
 REFUSALS = {
-    "check_preconditions": (lambda: check_preconditions(TRF3, NONZERO_MEAN_Q), ZERO_MEAN_Q),
-    "partial_sums": (lambda: partial_sums(TRF3, spectra_for(TRF3, VALID, 64), NONZERO_MEAN_Q, 16),
-                     ZERO_MEAN_Q),
-    "summand": (lambda: summand(TRF3, 1, spectra_for(TRF3, VALID, 64), NONZERO_MEAN_Q), ZERO_MEAN_Q),
-    "rhs": (lambda: rhs(TRF3, NONZERO_MEAN_Q), ZERO_MEAN_Q),
-    "verify": (lambda: verify(TRF3, NONZERO_MEAN_Q, n=64, k=16), ZERO_MEAN_Q),
+    "check_preconditions": (lambda: check_preconditions(TRQ0, NONZERO_Q), ZERO_Q),
+    "partial_sums": (lambda: partial_sums(TRQ0, spectra_for(TRQ0, VALID, 64), NONZERO_Q, 16),
+                     ZERO_Q),
+    "summand": (lambda: summand(TRQ0, 1, spectra_for(TRQ0, VALID, 64), NONZERO_Q), ZERO_Q),
+    "rhs": (lambda: rhs(TRQ0, NONZERO_Q), ZERO_Q),
+    "verify": (lambda: verify(TRQ0, NONZERO_Q, n=64, k=16), ZERO_Q),
     "partial_sums K": (lambda: partial_sums(GLF, spectra_for(GLF, SHORT, 64), SHORT, 16), HORIZON),
     "summand n": (lambda: summand(GLF, 5, spectra_for(GLF, SHORT, 64), SHORT), HORIZON),
     "verify K": (lambda: verify(GLF, SHORT, n=64, k=16), HORIZON),

@@ -139,15 +139,18 @@ def test_recover_p_second_order():
     assert np.max(np.abs(rec[:, 1] - expected)) < 1e-2
 
 
-def test_second_order_recovery_requires_zero_mean_p():
-    with pytest.raises(PreconditionError):
-        sweep(
-            OperatorSpec(KIND_SECOND_ORDER, p=COS2 + Coefficient.constant(1.0)),
-            4,
-            n=16,
-            k=8,
-            target="p_second_order",
-        )
+@pytest.mark.parametrize(
+    "target, template",
+    [("q", OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2 + Coefficient.constant(1.0))),
+     ("V", OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2 + Coefficient.constant(1.0))),
+     ("Q", OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2 + Coefficient.constant(1.0))),
+     ("p_second_order", OperatorSpec(KIND_SECOND_ORDER, p=COS2 + Coefficient.constant(1.0)))],
+    ids=["q", "V", "Q", "p_second_order"],
+)
+def test_recovery_requires_a_zero_mean_target(target, template):
+    # the summand's counterterm takes the target's mean off, so S(tau) cannot read it
+    with pytest.raises(PreconditionError, match="zero-mean"):
+        sweep(template, 4, n=16, k=8, target=target)
 
 
 def test_wrap_gap_small():

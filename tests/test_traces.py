@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import coefficients
+from conftest import amplitudes, coefficients
 from sinespec import (
     Coefficient,
     CoefficientSet,
@@ -36,7 +36,7 @@ from sinespec import (
 )
 from sinespec import eigensolve
 from sinespec.cli import _write_report, main
-from sinespec.traces import FORMULAS, _second_order_constant
+from sinespec.traces import FORMULAS, ROLES, _HYPOTHESES, _second_order_constant
 
 PI = math.pi
 COS1 = Coefficient.harmonic_cos(1)
@@ -75,12 +75,6 @@ def test_summand_rejects_untrusted_index():
     sp = spectra_for(FormulaId.TRF3, cs, 32)
     with pytest.raises(PreconditionError):
         summand(FormulaId.TRF3, 33, sp, cs)
-
-
-def test_summand_rejects_nonzero_mean_q():
-    cs = CoefficientSet(p=COS2, q=Coefficient.constant(0.3))
-    with pytest.raises(PreconditionError):
-        rhs(FormulaId.TRF3, cs)
 
 
 # -- right sides -----------------------------------------------------------------
@@ -319,52 +313,6 @@ def test_verify_reports_rate_exponent_for_slow_tails():
     q = Coefficient.harmonic_sin(1) - Coefficient.constant(2.0 / PI)
     rep = verify(FormulaId.TRF3, CoefficientSet(q=q), n=128, k=48)
     assert rep.rate_exponent <= -0.8
-
-
-def test_verify_center_q_records_shift():
-    q = COS2 + Coefficient.constant(0.7)
-    with pytest.raises(PreconditionError):
-        verify(FormulaId.TRS, CoefficientSet(q=q), n=64, k=16)
-    rep = verify(FormulaId.TRS, CoefficientSet(q=q), n=64, k=16, center_q=True)
-    assert rep.q0_shift == pytest.approx(0.7, rel=1e-12)
-    assert rep.rhs == pytest.approx(-0.5 + 0.0, abs=1e-12)  # -(q(0)+q(1))/4 after centering
-
-
-@pytest.mark.parametrize(
-    "formula, coeffs",
-    [
-        (FormulaId.TRF3, CoefficientSet(p=COS2, q=COS2 + Coefficient.constant(0.7))),
-        (FormulaId.TRS, CoefficientSet(q=COS2 + Coefficient.constant(0.7))),
-        (FormulaId.IPR1, CoefficientSet(p=COS2, q=SIN2 + Coefficient.constant(0.7))),
-    ],
-    ids=lambda v: v.value if isinstance(v, FormulaId) else "",
-)
-def test_center_q_shifts_the_zero_mean_q_formulas(formula, coeffs):
-    assert ("q", "zero_mean") in FORMULAS[formula].hypotheses
-    rep = verify(formula, coeffs, n=64, k=16, tau=0.25 if formula == FormulaId.IPR1 else 0.0,
-                 center_q=True)
-    assert rep.q0_shift == coeffs.q.functionals().mean == pytest.approx(0.7, rel=1e-12)
-
-
-@pytest.mark.parametrize(
-    "formula, coeffs",
-    [
-        (FormulaId.GLF, CoefficientSet(p=COS2)),
-        (FormulaId.S01, CoefficientSet(p=COS2)),
-        (FormulaId.TRQ0, CoefficientSet(p=COS2)),
-        (FormulaId.TR3, CoefficientSet(q=COS2 + Coefficient.constant(0.5), Q=COS2)),
-        (FormulaId.COR1, CoefficientSet(p=COS2, Q=COS2)),
-        (FormulaId.IP2, CoefficientSet(p=COS2, Q=SIN2)),
-    ],
-    ids=lambda v: v.value if isinstance(v, FormulaId) else "",
-)
-def test_center_q_is_refused_where_no_zero_mean_q_is_required(formula, coeffs):
-    # centering would silently do nothing here: the identity places no
-    # zero-mean hypothesis on q (TR3 reads a q of any mean, the others none)
-    assert ("q", "zero_mean") not in FORMULAS[formula].hypotheses
-    verify(formula, coeffs, n=64, k=16, mode="richardson")
-    with pytest.raises(PreconditionError, match="zero-mean q"):
-        verify(formula, coeffs, n=64, k=16, mode="richardson", center_q=True)
 
 
 def test_verify_rejects_k_beyond_trust():
@@ -642,6 +590,37 @@ def _zero_mean(f):
 
 def _halved(f):
     return f.scale(0.5)
+
+
+def test_every_hypothesis_and_role_is_read_by_a_formula():
+    # a row of either table that no identity names is dead code
+    assert {h for entry in FORMULAS.values() for _, h in entry.hypotheses} == set(_HYPOTHESES)
+    assert {role for entry in FORMULAS.values() for role in entry.roles} == set(ROLES)
+
+
+@pytest.mark.parametrize("formula, name", [(FormulaId.TRF3, "q"), (FormulaId.TRS, "q"),
+                                           (FormulaId.IPR1, "q"), (FormulaId.IP2, "Q")],
+                         ids=["TRF3", "TRS", "IPR1", "IP2"])
+@given(data=st.data(), c=amplitudes, tau=st.floats(0.0, 1.0, exclude_max=True))
+def test_a_constant_added_to_q_or_Q_verifies_the_centred_identity(formula, name, data, c, tau):
+    # a constant shifts every eigenvalue by itself and the q0 counterterm
+    # takes it off again, so q + c (Q + c) reads as the zero-mean q (Q)
+    shifted = formula in (FormulaId.IPR1, FormulaId.IP2)
+    p = data.draw(coefficients(max_degree=4, periodic=shifted))
+    if formula == FormulaId.TRS:
+        p = Coefficient.constant(p.functionals().mean)
+    g = data.draw(coefficients(max_degree=4, periodic=shifted).map(_zero_mean))
+    tau = tau if shifted else 0.0
+    for mode in ("fourier", "richardson", "none"):
+        try:
+            base = verify(formula, CoefficientSet(p=p, **{name: g}), n=64, k=16, mode=mode, tau=tau)
+        except PreconditionError as exc:
+            assume("trust horizon" not in str(exc))
+            raise
+        moved = verify(formula, CoefficientSet(p=p, **{name: g + Coefficient.constant(c)}),
+                       n=64, k=16, mode=mode, tau=tau)
+        assert abs(moved.rhs - base.rhs) <= 1e-12
+        assert abs(moved.gap - base.gap) <= 1e-2 * DEFAULT_TOLERANCES[formula]
 
 
 def _fourier_gap_ratio(formula, cs, tau=0.0):
