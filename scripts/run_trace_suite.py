@@ -50,11 +50,6 @@ def main() -> int:
             f"{rep.gap:+12.2e}  {'PASS' if ok else 'FAIL'} (tol {tol:g})  [{rep.inputs_digest}]"
         )
     print(f"\n{len(PANEL) - failures}/{len(PANEL)} identities verified at default tolerances")
-    if failures and args.mode == "fourier":
-        print(
-            "note: the fourier tail model leaves the third-order part of the 1/n^2 "
-            "constant of each TRF3 term; rerun with --mode richardson"
-        )
     return 0 if failures == 0 else 1
 
 

@@ -132,12 +132,13 @@ def _json_value(v):
 
 
 def _write_report(args: argparse.Namespace, report, header=None, rows=None) -> None:
-    """Write the report to --out: CSV where the command takes ``--format csv``, else
-    JSON.  A report dataclass is written as its fields, in field order, with
-    enums as their values and arrays as lists; a dict is written as it is."""
+    """Write the report to --out: CSV where the command takes ``--format``,
+    unless it is json, else JSON.  A report dataclass is written as its
+    fields, in field order, with enums as their values and arrays as lists;
+    a dict is written as it is."""
     if not args.out:
         return
-    if getattr(args, "format", "json") == "csv":
+    if getattr(args, "format", "json") != "json":
         _write_text(args.out, _csv(rows, header))
         return
     if dataclasses.is_dataclass(report):
@@ -284,7 +285,8 @@ _SHARED = {
         "help": "tail acceleration mode (default fourier)",
     },
     "--out": {"help": "report file path"},
-    "--format": {"choices": ("csv", "json"), "default": "csv"},
+    "--format": {"choices": ("csv", "json"), "default": None,
+                 "help": "report format for --out (default csv)"},
     "--tol": {"type": _tolerance, "default": None, "help": "override verification tolerance"},
 }
 
@@ -336,6 +338,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "format", None) and not args.out:
+            raise PreconditionError(f"--format {args.format} is read only with --out")
         return args.handler(args)
     except (PreconditionError, CoefficientFileError, OSError) as exc:
         # OSError: an --out or --dump-matrix path that cannot be written

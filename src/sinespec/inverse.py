@@ -14,9 +14,9 @@ summand's counterterm (q0, Q0, or p0 for second-order p) takes it off
 again, so S(tau) reads only the target less its mean.
 
 The closed-form ``fourier`` tail is the default acceleration, as in the
-CLI.  Its model of the IPR1 and IP2 sums carries the 1/n^2 constant that
-second-order perturbation theory derives from the Galerkin entries and
-leaves only its third-order part.  At the default sizes, under
+CLI.  Its model of the IPR1 and IP2 sums carries the 1/n^2 constant in
+closed form, exact through its third-order part, where the perturbation
+series ends (``traces._tail_constant``).  At the default sizes, under
 p = cos(2 pi x), it recovers q = sin(2 pi x) on a 16-point grid to
 3.8e-5 and Q = sin(2 pi x) on a 4-point grid to 6.5e-5, against 1.2e-4
 and 1.2e-4 with ``richardson``, which needs no model.  q and Q are read

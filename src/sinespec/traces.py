@@ -38,10 +38,10 @@ for q (q0 = int q_eff shifts every eigenvalue by q0):
     TR3 = TRF3(lam) - TRF3(mu) COR1, IP2 = TRF3(nu) - TRF3(alpha)
 
 so one summand, one right side and one ``fourier`` tail, -c_2n(V) + C/n^2
-per term, serve all eight, in every mode.  ``FORMULAS`` holds one entry
-per id: GLF with its own summand, right side and tail, and for the
-others only the signed roles, the tolerance and the hypotheses.  A circle shift is a
-property of the coefficients, f(x) -> f(x + tau), and is applied once,
+per term with C a closed-form functional of p and V, serve all eight, in
+every mode.  ``FORMULAS`` holds one entry per id: GLF with its own
+summand, right side and tail, and for the others only the signed roles,
+the tolerance and the hypotheses.  A circle shift is a property of the coefficients, f(x) -> f(x + tau), and is applied once,
 by ``CoefficientSet.shifted``: at a shift tau, ``verify`` reads the
 spectra, summand, tail and right side of the shifted set, and a right
 side stated at x = 0, 1 is read at tau, as in IPR1 and IP2.
@@ -75,13 +75,7 @@ import numpy as np
 from .coeffs import ZERO, Coefficient, big_P, build_V
 from .errors import PreconditionError
 from .linalg import compensated_cumsum
-from .operators import (
-    KIND_FOURTH_ORDER,
-    KIND_SECOND_ORDER,
-    KIND_SQUARE_PLUS_Q,
-    OperatorSpec,
-    fourth_order_entries,
-)
+from .operators import KIND_FOURTH_ORDER, KIND_SECOND_ORDER, KIND_SQUARE_PLUS_Q, OperatorSpec
 from .eigensolve import Spectrum, spectrum
 
 __all__ = [
@@ -230,52 +224,32 @@ def _endpoint_tail(g: Coefficient, k: int) -> float:
 
 
 @functools.lru_cache(maxsize=256)
-def _second_order_constant(p: Coefficient, q: Coefficient) -> float:
-    """C in the TRF3 summand law -c_2n(V) + C/n^2, from the Galerkin entries.
+def _tail_constant(p: Coefficient, v: Coefficient) -> float:
+    """C in the TRF3 summand law -c_2n(V) + C/n^2, in closed form:
 
-    The constant parts of p and q are diagonal in the sine basis, so they
-    go into the unperturbed operator, with eigenvalues d_m = (pi m)^4 -
-    2 p0 (pi m)^2 + q0; the summand's counterterms remove them.  The
-    mean-free rest couples mode n to the modes m <= 8n through the
-    assemble_H entries E_mn: first order adds E_nn, second order the sum
-    of E_mn^2 / (d_n - d_m).  n^2 times what this leaves of the n-th
-    summand, once -c_2n(V) is taken off, is C + O(1/n^2); it is evaluated
-    at n = 128 and 256 and extrapolated.  For cosine-only p and q, C equals
-    -(3 int p'^2 + 4 int (p - p0) (q - p0 (p - p0))) / (8 pi^2); sine
-    amplitudes change C in ways this closed form does not follow.
-    Third-order terms, which also scale as 1/n^2, are not included.  For a
-    constant p the q couplings leave only O(1/n^4), so C is exactly zero.
-    The mean of q does not enter.  Memoized by value, like ``spectrum``.
+        C = -(int p'^2 + 4 int p~ V - 4 p0 int p~^2 - 2 int p~^3) / (8 pi^2)
+
+    with p~ = p - p0.  The cubic term is the third-order part of the
+    perturbation series about the constant-coefficient operator, the rest
+    its second-order part.  The series ends there: give p weight 2, V
+    weight 4 and d/dx weight 1; C weighs 6, and every term of fourth or
+    higher order weighs 8 or more (Gelfand & Dikii, 1975).  The mean of V
+    does not enter, and a constant p gives exactly 0.  Memoized by value,
+    like ``spectrum``.
     """
-    if p.is_constant():
-        return 0.0
-    # built once for n = 256: cosine tables are prefix-stable, so n = 128
-    # reads their leading part
-    cp, cq = p.cosine_coeffs(9 * 256), q.cosine_coeffs(9 * 256)
-    cv = build_V(p, q).cosine_coeffs(2 * 256)
-    p0 = cp[0]
-    # P - p0^2 taken as P of p - p0, where no cancellation can occur
-    half_p = 0.5 * big_P(p - Coefficient.constant(p0))
-    cp[0] = cq[0] = 0.0
-    residual = {}
-    for n in (128, 256):
-        m = np.arange(1, 8 * n + 1)
-        near, far = np.abs(m - n), m + n
-        row = fourth_order_entries((cp[near], cp[far]), (cq[near], cq[far]), m, n)
-        # d_n - d_m in factored form: the difference of quartics would cancel
-        gaps = np.pi**2 * (n * n - m * m) * (np.pi**2 * (n * n + m * m) - 2.0 * p0)
-        off = m != n
-        second = np.sum(row[off] ** 2 / gaps[off])
-        residual[n] = n * n * (row[n - 1] + half_p + cv[2 * n] + second)
-    return float((4.0 * residual[256] - residual[128]) / 3.0)
+    p0 = p._mean()
+    pt = p - Coefficient.constant(p0)
+    d1, pt2 = p.derivative(1), pt * pt
+    second = (d1 * d1)._mean() + 4.0 * (pt * v)._mean() - 4.0 * p0 * pt2._mean()
+    return (2.0 * (pt2 * pt)._mean() - second) / (8.0 * math.pi**2)
 
 
 @dataclass(frozen=True)
 class _Reading:
     """What one identity reads of one coefficient set (``Formula.read``):
     the spec of each role, p0 = int p, P = big_P(p), q0 (the signed sum
-    of the terms' mean(q_eff)), the right side, and per term the sign,
-    q_eff - mean(q_eff) and the V of its tail model."""
+    of the terms' mean(q_eff)), the right side, and per term the sign
+    and the V of its tail model."""
 
     specs: tuple
     p0: float
@@ -321,13 +295,12 @@ class Formula:
         for role, sign in self.terms:
             spec = _role_spec(role, cs)
             q_eff = spec.fourth_order_q()
-            # q_eff less its mean, which only shifts every eigenvalue
+            # V of q_eff less its mean, which only shifts every eigenvalue
             mean = q_eff.functionals().mean
-            q = q_eff - Coefficient.constant(mean)
-            v = build_V(cs.p, q)
+            v = build_V(cs.p, q_eff - Coefficient.constant(mean))
             fv = v.functionals()
             specs.append((role, spec))
-            tail.append((sign, q, v))
+            tail.append((sign, v))
             q0 += sign * mean
             # the closed-form right side -(P - p0^2 + V(0) + V(1))/4 per term
             right += sign * -0.25 * ((P - p0 * p0) + fv.end0 + fv.end1)
@@ -349,9 +322,9 @@ class Formula:
 
     def tail(self, s_k: float, cs: CoefficientSet, k: int) -> float:
         """S_k closed by the summand model -c_2n(V) + C/n^2 per term."""
-        for sign, q, v in self.read(cs).tail:
+        for sign, v in self.read(cs).tail:
             s_k = (s_k - sign * _endpoint_tail(v, k)
-                   + sign * _second_order_constant(cs.p, q) * _zeta2_tail(k))
+                   + sign * _tail_constant(cs.p, v) * _zeta2_tail(k))
         return s_k
 
 
@@ -376,12 +349,16 @@ class _SecondOrder(Formula):
         return s_k + (r.P - r.p0 ** 2) / (4.0 * math.pi**2) * _zeta2_tail(k)
 
 
-# Tolerances at the default sizes (N=256, K=64), sized from what the tail
-# models leave: 1e-2 where an O(1/n^2) tail is left (S01, TRF3, TRQ0 and
-# IPR1, whose 1/n^2 constant is modeled to second order only, leaving the
-# third-order part), 1e-3 where less is left (GLF; TRS, whose constant p
-# has no 1/n^2 term; and TR3, COR1 and IP2, differences of two TRF3 sums
-# over the same p, whose third-order parts largely cancel).
+# Tolerances at the default sizes (N=256, K=64).  1e-2 for S01, TRF3, TRQ0
+# and IPR1, sized when their tail model left out the third-order part of
+# the 1/n^2 constant.  With that part in, the worst |gap|/tol over 12 seeded
+# inputs of amplitude 2 (seed 7, degree 2-4) is 0.0075 (S01), 0.026 (TRF3,
+# TRQ0) and 0.43 (IPR1, periodic degree 4-8), against 0.48-0.83 without
+# it; on the +-2 degree 4-6 family of the third-order test it is 0.11
+# (S01) and 0.46 (TRF3), against 4.4 and 4.2.  1e-3 where less was left
+# (GLF; TRS, whose constant p has no 1/n^2 term; and TR3, COR1 and IP2,
+# differences of two TRF3 sums over the same p, whose cubic parts cancel:
+# worst 0.028-0.037).
 FORMULAS = {
     FormulaId.GLF: _SecondOrder((("alpha", 1),), 1e-3),
     FormulaId.S01: Formula((("alpha", 1),), 1e-2),
@@ -487,10 +464,10 @@ def tail_accelerate(
     of the summand model: the known 1/(2 pi n)^2 law for GLF, and for
     every fourth-order formula, per signed term, the TRF3 law
     -c_2n(V) + C/n^2 of its effective q, with V = q_eff - q0 - p''/2
-    closed through the endpoint-jump series and C derived by second-order
-    perturbation theory from the Galerkin entries; TRQ0 reads TRF3's at
-    q = 0.  Left out is the third-order part of C.  ``richardson`` needs no
-    model: it fits the C of a C/n^2 summand tail to S_k and S_m, m = k // 2,
+    closed through the endpoint-jump series and C in closed form, exact
+    through its third-order part, where the perturbation series ends
+    (``_tail_constant``); TRQ0 reads TRF3's at q = 0.  ``richardson``
+    needs no model: it fits the C of a C/n^2 summand tail to S_k and S_m, m = k // 2,
     as C = (S_k - S_m) / (z(m) - z(k)) with z(k) = sum_{n > k} 1/n^2, and
     returns S_k + C z(k).  ``none`` returns S_k.
     """
@@ -603,10 +580,9 @@ def asym_residuals(spec: OperatorSpec, n: int = 256, k: int = 64) -> Asymptotics
 
     Returns r_1..r_k together with ``fitted_c``, the mean of m^2 |r_m| over
     m in [FIT_LO, k]: the magnitude of C in r_m ~ C / m^2, without its
-    sign (0.745 for p = cos 2 pi x), and ``derived_c``, the signed C that
-    second-order perturbation theory derives for (p, q + Q)
-    (-0.75 there).  The expansion holds when it is finite and stable
-    under refinement.  r_m is the TRF3 summand with the spec's
+    sign (0.745 for p = cos 2 pi x), and ``derived_c``, the signed C of
+    the closed form (``_tail_constant``) for (p, q + Q) (-0.75 there).
+    The expansion holds when it is finite and stable under refinement.  r_m is the TRF3 summand with the spec's
     ``fourth_order_q``, q + Q, in place of q, plus the m-th even cosine
     of V.
     """
@@ -620,10 +596,11 @@ def asym_residuals(spec: OperatorSpec, n: int = 256, k: int = 64) -> Asymptotics
     cs = CoefficientSet(p=spec.p, q=spec.fourth_order_q())
     ns = np.arange(1, k + 1, dtype=float)
     trf3 = FORMULAS[FormulaId.TRF3]
-    r = trf3.summand({"mu": s.vals[:k]}, cs, _z2(k)) + _even_cosines(build_V(cs.p, cs.q), k)
+    v = build_V(cs.p, cs.q)
+    r = trf3.summand({"mu": s.vals[:k]}, cs, _z2(k)) + _even_cosines(v, k)
     fitted = float(np.mean(ns[FIT_LO - 1 :] ** 2 * np.abs(r[FIT_LO - 1 :])))
     return AsymptoticsReport(
-        residuals=r, fitted_c=fitted, derived_c=_second_order_constant(cs.p, cs.q),
+        residuals=r, fitted_c=fitted, derived_c=_tail_constant(cs.p, v),
         fit_lo=FIT_LO, fit_hi=k, basis_n=n,
     )
 

@@ -11,6 +11,10 @@ can hold the library to the same outputs bit for bit:
 - ``loop_localization``: the window and disc counts, one index at a time;
 - ``polyfit_rate``: the rate exponent of a ``TraceReport``, fitted by
   ``np.polyfit``;
+- ``_second_order_constant``: the 1/n^2 constant of the TRF3 summand from
+  a Rayleigh-Schroedinger sum over the Galerkin entries, extrapolated from
+  n = 128 and 256; it holds the second-order part of the closed form
+  ``traces._tail_constant``, which adds the third-order part;
 - ``hand_recover_V``, ``hand_recover_q``, ``hand_recover_Q``: the
   recoveries with the IPR1, IP2 and GLF right sides written out by hand,
 
@@ -22,13 +26,14 @@ can hold the library to the same outputs bit for bit:
   each returning (values on the grid, value at the wrap point tau = 1).
 """
 
+import functools
 import math
 
 import numpy as np
 
-from sinespec import Coefficient, assemble_spec, factored_eigvalsh, graded_eigvalsh
+from sinespec import Coefficient, assemble_spec, big_P, build_V, factored_eigvalsh, graded_eigvalsh
 from sinespec.eigensolve import ROUNDING_C, TRUST_TOL_DEFAULT, factored_shift, trust_scale
-from sinespec.operators import KIND_SECOND_ORDER
+from sinespec.operators import KIND_SECOND_ORDER, fourth_order_entries
 
 _ROWS = 32
 
@@ -147,6 +152,47 @@ def polyfit_rate(partial, accelerated, k):
         return float("nan")
     slope = np.polyfit(np.log(ks[mask]), np.log(resid[mask]), 1)[0]
     return float(slope)
+
+
+@functools.lru_cache(maxsize=256)
+def _second_order_constant(p: Coefficient, q: Coefficient) -> float:
+    """C in the TRF3 summand law -c_2n(V) + C/n^2, from the Galerkin entries.
+
+    The constant parts of p and q are diagonal in the sine basis, so they
+    go into the unperturbed operator, with eigenvalues d_m = (pi m)^4 -
+    2 p0 (pi m)^2 + q0; the summand's counterterms remove them.  The
+    mean-free rest couples mode n to the modes m <= 8n through the
+    assemble_H entries E_mn: first order adds E_nn, second order the sum
+    of E_mn^2 / (d_n - d_m).  n^2 times what this leaves of the n-th
+    summand, once -c_2n(V) is taken off, is C + O(1/n^2); it is evaluated
+    at n = 128 and 256 and extrapolated.  For cosine-only p and q, C equals
+    -(3 int p'^2 + 4 int (p - p0) (q - p0 (p - p0))) / (8 pi^2); sine
+    amplitudes change C in ways this closed form does not follow.
+    Third-order terms, which also scale as 1/n^2, are not included.  For a
+    constant p the q couplings leave only O(1/n^4), so C is exactly zero.
+    The mean of q does not enter.  Memoized by value, like ``spectrum``.
+    """
+    if p.is_constant():
+        return 0.0
+    # built once for n = 256: cosine tables are prefix-stable, so n = 128
+    # reads their leading part
+    cp, cq = p.cosine_coeffs(9 * 256), q.cosine_coeffs(9 * 256)
+    cv = build_V(p, q).cosine_coeffs(2 * 256)
+    p0 = cp[0]
+    # P - p0^2 taken as P of p - p0, where no cancellation can occur
+    half_p = 0.5 * big_P(p - Coefficient.constant(p0))
+    cp[0] = cq[0] = 0.0
+    residual = {}
+    for n in (128, 256):
+        m = np.arange(1, 8 * n + 1)
+        near, far = np.abs(m - n), m + n
+        row = fourth_order_entries((cp[near], cp[far]), (cq[near], cq[far]), m, n)
+        # d_n - d_m in factored form: the difference of quartics would cancel
+        gaps = np.pi**2 * (n * n - m * m) * (np.pi**2 * (n * n + m * m) - 2.0 * p0)
+        off = m != n
+        second = np.sum(row[off] ** 2 / gaps[off])
+        residual[n] = n * n * (row[n - 1] + half_p + cv[2 * n] + second)
+    return float((4.0 * residual[256] - residual[128]) / 3.0)
 
 
 def hand_recover_V(sr):

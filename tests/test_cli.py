@@ -135,9 +135,15 @@ def test_spectrum_reads_no_truncation(one):
         ["spectrum", "-N", "8", "--dump-matrix", "{no-dir}/mat.csv"],
         ["sweep", "--recover", "V", "--grid", "4", "-N", "16", "-K", "8", "--full-spectra",
          "--out", "{sweep-out}"],
+        ["trace", "--formula", "GLF", "-N", "32", "-K", "16", "--format", "json"],
+        ["spectrum", "-N", "8", "--format", "csv"],
+        ["asym", "-N", "32", "-K", "16", "--format", "json"],
+        ["sweep", "--recover", "V", "--grid", "4", "-N", "16", "-K", "8", "--format", "csv"],
     ],
     ids=["negative-k", "spectrum-small-n", "localize-small-n", "not-utf8", "huge-int",
-         "out-unwritable", "dump-matrix-unwritable", "full-spectra-csv"],
+         "out-unwritable", "dump-matrix-unwritable", "full-spectra-csv",
+         "trace-format-without-out", "spectrum-format-without-out",
+         "asym-format-without-out", "sweep-format-without-out"],
 )
 def test_bad_input_exits_2_with_message(tmp_path, capsys, cos2, argv):
     (tmp_path / "not-utf8").write_bytes(b'\xff{"u": [1]}')
@@ -148,6 +154,9 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, cos2, argv):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    if "--format" in argv and "--out" not in argv:
+        # the option would otherwise be dropped without a word
+        assert "--format" in err
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])

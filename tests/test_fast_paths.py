@@ -442,7 +442,7 @@ def test_memo_caches_are_found():
         "sinespec.eigensolve.spectrum",
         "sinespec.traces._zeta2_tail",
         "sinespec.traces._endpoint_tail",
-        "sinespec.traces._second_order_constant",
+        "sinespec.traces._tail_constant",
         "OperatorSpec.fourth_order_q",
         "CoefficientSet.shifted",
         "CoefficientSet.digest",

@@ -36,7 +36,8 @@ from sinespec import (
 )
 from sinespec import eigensolve
 from sinespec.cli import _write_report, main
-from sinespec.traces import FORMULAS, ROLES, _HYPOTHESES, _second_order_constant
+from sinespec.traces import FORMULAS, ROLES, _HYPOTHESES, _tail_constant
+from reference_paths import _second_order_constant
 
 PI = math.pi
 COS1 = Coefficient.harmonic_cos(1)
@@ -166,7 +167,8 @@ def test_glf_fourier_acceleration_cos_2pi():
 
 def _closed_form_terms(p, q):
     """The terms of C = -(3 int p'^2 + 4 int p~ q - 4 p0 int p~^2) / (8 pi^2),
-    p~ = p - p0: the 1/n^2 constant of the TRF3 summand for cosine-only p, q."""
+    p~ = p - p0: the second-order part of the TRF3 summand's 1/n^2 constant
+    for cosine-only p, q."""
     mean = lambda f: f.functionals().mean
     p0 = mean(p)
     pt = p - Coefficient.constant(p0)
@@ -588,10 +590,6 @@ def _zero_mean(f):
     return f - Coefficient.constant(f.functionals().mean)
 
 
-def _halved(f):
-    return f.scale(0.5)
-
-
 def test_every_hypothesis_and_role_is_read_by_a_formula():
     # a row of either table that no identity names is dead code
     assert {h for entry in FORMULAS.values() for _, h in entry.hypotheses} == set(_HYPOTHESES)
@@ -650,13 +648,11 @@ def test_alpha_squared_is_the_spectrum_of_H_at_p2_plus_p_squared(p):
     assert np.all(np.abs(mu - alpha**2) <= 1e-8 * scale)
 
 
-@given(coefficients(max_degree=4).map(_halved))
+@given(coefficients(max_degree=4))
 def test_s01_fourier_gap_within_tolerance(p):
-    # The fourier tail leaves out the third-order part of C, which grows
-    # with the amplitudes: at amplitudes up to 2 it takes S01 past its
-    # tolerance (|gap|/tol up to 1.3 at degree 3), at amplitudes up to 1
-    # it stays below 0.4 at degree 4.  Without the C/n^2 term of the
-    # effective q p'' + p^2 these inputs missed by up to 9.6 tolerances.
+    # The fourier tail carries C through its third-order part, where the
+    # series ends, so the whole amplitude range passes; the second-order
+    # part alone missed by up to 1.3 tolerances at amplitude 2, degree 3.
     assert _fourier_gap_ratio(FormulaId.S01, CoefficientSet(p=p)) <= 1.0
 
 
@@ -681,9 +677,9 @@ def test_ip2_fourier_gap_within_tolerance(p, Q, tau):
     assert _fourier_gap_ratio(FormulaId.IP2, CoefficientSet(p=p, Q=Q), tau) <= 1.0
 
 
-@given(coefficients(max_degree=4).map(lambda f: _halved(Coefficient(u=(0.0,) + f.u[1:]))))
+@given(coefficients(max_degree=4).map(lambda f: Coefficient(u=(0.0,) + f.u[1:])))
 def test_dikii_trfd1_never_neither_on_cosine_p(p):
-    # the S01 fourier sum on zero-mean cosine p, amplitudes up to 1
+    # the S01 fourier sum on zero-mean cosine p, amplitudes up to 2
     assert dispute(DisputeVariant.DIKII_TRFD1, p).verdict in ("reference", "indistinguishable")
 
 
@@ -729,8 +725,9 @@ def test_shifted_right_sides_match_their_closed_forms(p, q, tau):
 
 def test_asym_reports_the_signed_derived_constant(tmp_path):
     rep = asym_residuals(OperatorSpec(KIND_FOURTH_ORDER, p=COS2), n=256, k=64)
-    assert rep.derived_c == _second_order_constant(COS2, ZERO)
-    assert rep.derived_c == pytest.approx(-0.75, abs=1e-6)
+    assert rep.derived_c == _tail_constant(COS2, build_V(COS2, ZERO))
+    assert rep.derived_c == pytest.approx(-0.75, abs=1e-12)
+    assert abs(rep.derived_c - _second_order_constant(COS2, ZERO)) <= 1e-6
     assert rep.fitted_c == pytest.approx(0.745, abs=5e-3)
     path = tmp_path / "asym.json"
     _write_report(argparse.Namespace(out=str(path)), rep)
@@ -742,7 +739,50 @@ def test_asym_derived_constant_reads_the_shifted_q_plus_Q():
     p, q, Q = cs.p, cs.q, cs.Q
     spec = OperatorSpec(KIND_FOURTH_ORDER, p=p, q=q, Q=Q)
     rep = asym_residuals(spec, n=64, k=16)
-    assert rep.derived_c == _second_order_constant(p, q + Q)
+    assert rep.derived_c == _tail_constant(p, build_V(p, q + Q))
+    # a single harmonic p has no third-order part
+    assert abs(rep.derived_c - _second_order_constant(p, q + Q)) <= 1e-6
+
+
+def _seeded(rng, degree, amp):
+    return Coefficient(u=tuple(rng.uniform(-amp, amp, degree + 1)),
+                       w=tuple(rng.uniform(-amp, amp, degree)))
+
+
+def test_tail_constant_is_the_second_order_sum_plus_the_cubic_part():
+    # The oracle sums the second-order perturbation series over the Galerkin
+    # entries and extrapolates; the closed form adds the third-order part
+    # int p~^3 / (4 pi^2).  Sine terms keep the two apart from the
+    # cosine-only formula; the bound is the oracle's extrapolation error.
+    rng = np.random.default_rng(11)
+    for degree in range(1, 7):
+        for amp in (1.0, 2.0):
+            for _ in range(6):
+                p, q = _seeded(rng, degree, amp), _seeded(rng, degree, amp)
+                pt = p - Coefficient.constant(p.functionals().mean)
+                c = _tail_constant(p, build_V(p, q))
+                second = c - (pt * pt * pt).functionals().mean / (4 * PI**2)
+                assert abs(second - _second_order_constant(p, q)) <= 1e-6 * max(1.0, abs(c))
+
+
+def _third_order_family():
+    # every amplitude +-2, degree 4-6, cosines and sines: int p~^3 is large
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        d = int(rng.integers(4, 7))
+        u = (0.0, *(2.0 * rng.choice((-1.0, 1.0), d)))
+        w = tuple(2.0 * rng.choice((-1.0, 1.0), d))
+        yield Coefficient(u=u, w=w)
+
+
+@pytest.mark.parametrize("formula", [FormulaId.S01, FormulaId.TRF3], ids=["S01", "TRF3"])
+def test_fourier_tail_carries_the_third_order_part_of_C(formula):
+    # With the second-order part of C alone, 7 of these 30 missed on each
+    # formula (worst |gap|/tol 4.40 on S01, 4.21 on TRF3); with the cubic
+    # part the worst are 0.107 and 0.457.
+    for p in _third_order_family():
+        rep = verify(formula, CoefficientSet(p=p), n=256, k=64, mode="fourier")
+        assert abs(rep.gap) <= DEFAULT_TOLERANCES[formula], p
 
 
 # -- circle shift ------------------------------------------------------------------------
