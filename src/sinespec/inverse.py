@@ -3,23 +3,23 @@
 A sweep shifts the template's coefficients to each point of a uniform
 tau grid (``CoefficientSet.shifted``, the one place a shift is applied),
 solves the operators of the shifted set and accelerates the matching
-regularized trace sum S(tau) there.  Recovery inverts the formula's own
-right side (``traces.FORMULAS``), which on the set shifted by tau is
-affine in the target's value at tau:
-value(tau) = (S(tau) - rhs(rest shifted by tau)) / slope, ``rest`` being
-the coefficients with the target removed (for V: q := p''/2, where V = 0).
-Recovery needs a zero-mean target, checked once in ``sweep``: a constant
-added to the target shifts every eigenvalue by that constant and the
-summand's counterterm (q0, Q0, or p0 for second-order p) takes it off
-again, so S(tau) reads only the target less its mean.
+regularized trace sum S(tau) there.  On the set shifted by tau, the
+formula's right side (``traces.FORMULAS``) is affine in the target's value
+at tau, and its other terms do not depend on tau, except the known
+p''(tau)/2 of q.  So recovery reads the sweep alone: value(tau) =
+(S(tau) - grid mean of S) / slope, plus p''(tau)/2 for q, with the same
+mean at the wrap point tau = 1; a target of any mean is recovered less its
+mean.  The grid mean of a shift is its mean only while its tau-degree is
+below the grid size, so ``sweep`` refuses, before any solve, a coefficient
+that right side reads at tau of degree 2 * grid_size or more.
 
 The closed-form ``fourier`` tail is the default acceleration, as in the
 CLI.  Its model of the IPR1 and IP2 sums carries the 1/n^2 constant in
 closed form, exact through its third-order part, where the perturbation
 series ends (``traces._tail_constant``).  At the default sizes, under
 p = cos(2 pi x), it recovers q = sin(2 pi x) on a 16-point grid to
-3.8e-5 and Q = sin(2 pi x) on a 4-point grid to 6.5e-5, against 1.2e-4
-and 1.2e-4 with ``richardson``, which needs no model.  q and Q are read
+4.0e-5 and Q = sin(2 pi x) on a 4-point grid to 5.7e-5, against 8.1e-5
+and 1.1e-4 with ``richardson``, which needs no model.  q and Q are read
 from H and h^2+Q spectra solved by the factored solve (see ``eigensolve``).
 """
 
@@ -34,7 +34,6 @@ from .errors import PreconditionError
 from .operators import KIND_SECOND_ORDER, OperatorSpec
 from .traces import (
     FORMULAS,
-    MEAN_TOL,
     ROLES,
     CoefficientSet,
     FormulaId,
@@ -50,15 +49,13 @@ from .traces import (
 __all__ = ["TARGETS", "SweepResult", "sweep", "target_kind",
            "recover_V", "recover_q", "recover_Q", "fit_trig"]
 
-# target: (formula, the coefficient that must have zero mean, slope of the
-# formula's right side in the target's value at tau, the template's
-# coefficients with the target removed); a kind's first target is the
-# sweep's default for that kind.
+# target: (formula, slope of its right side in the target's value at tau, the
+# coefficients it reads at tau); a kind's first target is the sweep's default.
 _TARGETS = {
-    "q": (FormulaId.IPR1, "q", -0.5, lambda t: CoefficientSet(p=t.p)),
-    "V": (FormulaId.IPR1, "q", -0.5, lambda t: CoefficientSet(p=t.p, q=0.5 * t.p.derivative(2))),
-    "Q": (FormulaId.IP2, "Q", -0.5, lambda t: CoefficientSet(p=t.p)),
-    "p_second_order": (FormulaId.GLF, "p", 0.5, lambda t: CoefficientSet()),
+    "q": (FormulaId.IPR1, -0.5, ("p", "q")),
+    "V": (FormulaId.IPR1, -0.5, ("p", "q")),
+    "Q": (FormulaId.IP2, -0.5, ("Q",)),
+    "p_second_order": (FormulaId.GLF, 0.5, ("p",)),
 }
 TARGETS = tuple(_TARGETS)
 
@@ -128,11 +125,13 @@ def sweep(
         raise PreconditionError(
             f"target {target!r} needs operator kind {target_kind(target)!r}"
         )
-    formula, name = _TARGETS[target][:2]
+    formula, _, names = _TARGETS[target]
     coeffs = CoefficientSet(p=template.p, q=template.q, Q=template.Q)
     check_preconditions(formula, coeffs)
-    if abs(getattr(coeffs, name).functionals().mean) > MEAN_TOL:
-        raise PreconditionError(f"recovering {target} requires a zero-mean {name}")
+    for name in names:
+        if getattr(coeffs, name).degree >= 2 * grid_size:
+            raise PreconditionError(f"recovering {target} on a {grid_size}-point grid "
+                                    f"requires {name} of degree below {2 * grid_size}")
     check_acceleration(k, mode)
 
     taus = np.arange(grid_size, dtype=float) / grid_size
@@ -140,8 +139,7 @@ def sweep(
     # shifted before any solve, so that a non-periodic one is refused first
     *points, wrap = [coeffs.shifted(tau) for tau in [*taus.tolist(), 1.0]]
     spectra_list = []
-    acc = np.empty(grid_size)
-    trust = np.empty(grid_size, dtype=int)
+    acc, trust = np.empty(grid_size), np.empty(grid_size, dtype=int)
     primary = FORMULAS[formula].roles[0]
     for i, shifted in enumerate(points):
         spectra, acc[i] = _accelerated_at(formula, shifted, n, k, mode)
@@ -171,32 +169,31 @@ def sweep(
 
 
 def _invert(sr: SweepResult, target: str) -> np.ndarray:
-    """Fill ``sr.recovered`` and ``sr.recovered_wrap`` with ``target``'s values."""
-    formula, _, slope, rest_of = _TARGETS[target]
-    rest, right = rest_of(sr.template), FORMULAS[formula].rhs
-    vals = [(s - right(rest.shifted(tau))) / slope
-            for tau, s in zip(sr.taus.tolist(), sr.accelerated.tolist())]
-    sr.recovered = np.column_stack([sr.taus, vals])
-    sr.recovered_wrap = (sr.wrap_accelerated - right(rest.shifted(1.0))) / slope
+    """Fill ``sr.recovered`` and ``sr.recovered_wrap`` with ``target``'s values less their mean."""
+    vals = np.append(sr.accelerated, sr.wrap_accelerated) / _TARGETS[target][1]
+    vals -= np.mean(vals[:-1])
+    if target == "q":
+        vals += sr.template.p.derivative(2).scale(0.5).evaluate(np.append(sr.taus, 1.0))
+    sr.recovered, sr.recovered_wrap = np.column_stack([sr.taus, vals[:-1]]), float(vals[-1])
     return sr.recovered
 
 
 def recover_V(sr: SweepResult) -> np.ndarray:
-    """Pointwise V(tau) = q(tau) - p''(tau)/2 from the accelerated sums."""
+    """Pointwise V(tau) = q(tau) - p''(tau)/2 less its mean, from the sums alone."""
     if sr.target not in ("V", "q"):
         raise PreconditionError("recover_V needs a sweep with target 'V' or 'q'")
     return _invert(sr, "V")
 
 
 def recover_q(sr: SweepResult) -> np.ndarray:
-    """Pointwise q(tau), with p the template's."""
+    """Pointwise q(tau) less its mean: V's values plus p''(tau)/2 of the template's p."""
     if sr.target not in ("V", "q"):
         raise PreconditionError("recover_q needs a sweep with target 'V' or 'q'")
     return _invert(sr, "q")
 
 
 def recover_Q(sr: SweepResult) -> np.ndarray:
-    """Pointwise Q(tau), or p(tau) for a second-order sweep."""
+    """Pointwise Q(tau), or p(tau) for a second-order sweep, less its mean."""
     if sr.target not in ("Q", "p_second_order"):
         raise PreconditionError("recover_Q needs target 'Q' or 'p_second_order'")
     return _invert(sr, sr.target)

@@ -164,8 +164,7 @@ ROLES = {
 
 # Hypotheses an identity can place on one coefficient: the test the
 # coefficient must pass, and what the error message says it must be.  A
-# mean is not one: the summand's q0 counterterm takes it off, and only
-# recovery (inverse.sweep) asks for a zero-mean target.
+# mean is not one: the summand's q0 counterterm takes it off.
 _HYPOTHESES = {
     "periodic": (lambda f: f.is_zero() or f.is_one_periodic(), "1-periodic {c}"),
     "constant": (lambda f: f.is_constant(), "a constant {c}"),
@@ -723,7 +722,7 @@ def dispute(
             variant_rhs = l2 / 4.0 + d2_ends - ends_sq
         else:
             variant_rhs = l2 / 4.0 - d2_ends - ends_sq
-        reference_rhs = rhs(FormulaId.S01, CoefficientSet(p=p))
+        reference_rhs = report.rhs
     else:
         if q is None:
             raise PreconditionError("the Sadovnichii comparison needs q = p'' + p^2")

@@ -139,16 +139,18 @@ def test_spectrum_reads_no_truncation(one):
         ["spectrum", "-N", "8", "--format", "csv"],
         ["asym", "-N", "32", "-K", "16", "--format", "json"],
         ["sweep", "--recover", "V", "--grid", "4", "-N", "16", "-K", "8", "--format", "csv"],
+        ["sweep", "--recover", "q", "--grid", "4", "-N", "16", "-K", "8", "--q", "{cos8}"],
     ],
     ids=["negative-k", "spectrum-small-n", "localize-small-n", "not-utf8", "huge-int",
          "out-unwritable", "dump-matrix-unwritable", "full-spectra-csv",
          "trace-format-without-out", "spectrum-format-without-out",
-         "asym-format-without-out", "sweep-format-without-out"],
+         "asym-format-without-out", "sweep-format-without-out", "sweep-degree-reaches-grid"],
 )
 def test_bad_input_exits_2_with_message(tmp_path, capsys, cos2, argv):
     (tmp_path / "not-utf8").write_bytes(b'\xff{"u": [1]}')
     (tmp_path / "huge-int").write_text('{"u": [1' + "0" * 400 + "]}")
-    names = ("not-utf8", "huge-int", "no-dir", "sweep-out")
+    (tmp_path / "cos8").write_text('{"u": [0, 0, 0, 0, 0, 0, 0, 0, 1]}')
+    names = ("not-utf8", "huge-int", "no-dir", "sweep-out", "cos8")
     argv = [a.format(**{name: tmp_path / name for name in names}) for a in argv]
     code = main(argv + ["--p", cos2])
     assert code == 2

@@ -61,7 +61,7 @@ def test_sweep_rejects_small_grid_and_bad_inputs():
     with pytest.raises(PreconditionError):
         sweep(OperatorSpec(KIND_FOURTH_ORDER, p=Coefficient.harmonic_cos(1)), 4, n=16, k=8)
     with pytest.raises(PreconditionError):
-        sweep(OperatorSpec(KIND_FOURTH_ORDER, q=Coefficient.constant(1.0)), 4, n=16, k=8)
+        sweep(OperatorSpec(KIND_FOURTH_ORDER, q=Coefficient.harmonic_cos(8)), 4, n=16, k=8)
 
 
 def test_sweep_refuses_a_non_periodic_coefficient_by_name_before_any_solve(monkeypatch):
@@ -139,18 +139,82 @@ def test_recover_p_second_order():
     assert np.max(np.abs(rec[:, 1] - expected)) < 1e-2
 
 
+ONE = Coefficient.constant(1.0)
+
+
 @pytest.mark.parametrize(
-    "target, template",
-    [("q", OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2 + Coefficient.constant(1.0))),
-     ("V", OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2 + Coefficient.constant(1.0))),
-     ("Q", OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2 + Coefficient.constant(1.0))),
-     ("p_second_order", OperatorSpec(KIND_SECOND_ORDER, p=COS2 + Coefficient.constant(1.0)))],
+    "target, recover, template, n, k, truth, bound",
+    [("q", recover_q, OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2 + ONE), 128, 48, SIN2, 2e-2),
+     ("V", recover_V, OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2 + ONE), 128, 48,
+      SIN2 + COS2.scale(2 * PI**2), 2e-2),
+     ("Q", recover_Q, OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2 + ONE), 96, 40, SIN2, 2e-2),
+     ("p_second_order", recover_Q, OperatorSpec(KIND_SECOND_ORDER, p=COS2 + ONE), 128, 48,
+      COS2, 1e-2)],
     ids=["q", "V", "Q", "p_second_order"],
 )
-def test_recovery_requires_a_zero_mean_target(target, template):
-    # the summand's counterterm takes the target's mean off, so S(tau) cannot read it
-    with pytest.raises(PreconditionError, match="zero-mean"):
-        sweep(template, 4, n=16, k=8, target=target)
+def test_recovery_reads_a_target_of_any_mean_less_its_mean(target, recover, template, n, k,
+                                                            truth, bound):
+    # the sizes and bounds of the zero-mean round trips above
+    sr = sweep(template, 8, n=n, k=k, target=target)
+    assert np.max(np.abs(recover(sr)[:, 1] - truth.evaluate(sr.taus))) < bound
+    assert abs(sr.recovered_wrap - truth.evaluate(1.0)) < bound
+
+
+@pytest.mark.parametrize(
+    "target, template, name",
+    [("q", OperatorSpec(KIND_FOURTH_ORDER, q=Coefficient.harmonic_cos(8)), "q"),
+     ("q", OperatorSpec(KIND_FOURTH_ORDER, p=Coefficient.harmonic_sin(8)), "p"),
+     ("Q", OperatorSpec(KIND_SQUARE_PLUS_Q, Q=Coefficient.harmonic_cos(8)), "Q"),
+     ("p_second_order", OperatorSpec(KIND_SECOND_ORDER, p=Coefficient.harmonic_cos(10)), "p")],
+    ids=["q-of-q", "p-of-q", "Q", "p_second_order"],
+)
+def test_sweep_refuses_a_target_whose_tau_degree_reaches_the_grid_before_any_solve(
+        monkeypatch, target, template, name):
+    # cos(8 pi x) has tau-frequency 4: its mean over a 4-point grid is 1, not 0
+    calls = []
+    real = eigensolve.assemble_spec
+    monkeypatch.setattr(eigensolve, "assemble_spec",
+                        lambda spec, n, rows=None: calls.append(n) or real(spec, n, rows))
+    spectrum.cache_clear()
+    with pytest.raises(PreconditionError,
+                       match=f"on a 4-point grid requires {name} of degree below 8"):
+        sweep(template, 4, n=32, k=8, target=target)
+    assert calls == []
+
+
+def _seeded_template(t):
+    """p periodic with a random constant, the target periodic with zero mean;
+    tau-harmonics 1..d, d = 1 + t % 3, amplitudes in U(-1, 1)."""
+    rng = np.random.default_rng(100 + t)
+    d = 1 + t % 3
+
+    def periodic(const):
+        u = [const] + [0.0] * (2 * d)
+        w = [0.0] * (2 * d)
+        for m in range(1, d + 1):
+            u[2 * m], w[2 * m - 1] = rng.uniform(-1.0, 1.0, 2)
+        return Coefficient(u=tuple(u), w=tuple(w))
+
+    p = periodic(rng.uniform(-1.0, 1.0))
+    return p, periodic(0.0)
+
+
+def _recovery_error(sr, recover, truth):
+    got = np.append(recover(sr)[:, 1], sr.recovered_wrap)
+    return float(np.max(np.abs(got - truth.evaluate(np.append(sr.taus, 1.0)))))
+
+
+@pytest.mark.parametrize("t", range(6))
+def test_seeded_recovery_accuracy(t):
+    # the grid mean takes off every tau-invariant part of the sums' error
+    p, f = _seeded_template(t)
+    for mode, bound in (("richardson", 2e-4), ("fourier", 1e-4)):
+        sr = sweep(OperatorSpec(KIND_FOURTH_ORDER, p=p, q=f), 16, n=256, k=64, mode=mode)
+        assert _recovery_error(sr, recover_q, f) < bound
+    for mode in ("richardson", "fourier"):
+        sr = sweep(OperatorSpec(KIND_SECOND_ORDER, p=f), 16, n=256, k=64, mode=mode,
+                   target="p_second_order")
+        assert _recovery_error(sr, recover_Q, f) < 1e-8
 
 
 def test_wrap_gap_small():
@@ -160,10 +224,10 @@ def test_wrap_gap_small():
 
 
 def test_recovered_mean_consistency():
-    # grid average of recovered V stays near the true zero mean
+    # recovery takes the grid mean of the sums off, so recovered V has grid mean 0
     res = sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS2.scale(0.5), q=SIN2), 8, n=128, k=48, target="V")
     rec = recover_V(res)
-    assert abs(np.mean(rec[:, 1])) < 1e-2
+    assert abs(np.mean(rec[:, 1])) < 1e-12
 
 
 def test_sum_branch_smooth_under_grid_refinement():
@@ -208,12 +272,7 @@ def test_sweep_defaults_to_fourier(template, target):
     assert default.wrap_accelerated == explicit.wrap_accelerated
 
 
-# -- recovery inverts the formula table: the hand-written inversions agree --------
-
-
-def zero_mean(f):
-    """f less its constant term: for a 1-periodic f, the zero-mean part."""
-    return Coefficient(u=(0.0,) + tuple(f.u[1:]), w=f.w)
+# -- recovery agrees with the hand-written inversions, less their grid mean ----------
 
 
 def swept(template, target):
@@ -225,17 +284,19 @@ def swept(template, target):
 
 @given(coefficients(max_degree=4, periodic=True), coefficients(max_degree=4, periodic=True))
 def test_recovery_matches_hand_inversions(p, f):
-    fourth = OperatorSpec(KIND_FOURTH_ORDER, p=p, q=zero_mean(f))
+    fourth = OperatorSpec(KIND_FOURTH_ORDER, p=p, q=f)
     cases = [
         (swept(fourth, "q"), recover_q, hand_recover_q, False),
         (swept(fourth, "V"), recover_V, hand_recover_V, False),
-        (swept(OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=zero_mean(f)), "Q"),
-         recover_Q, hand_recover_Q, True),
-        (swept(OperatorSpec(KIND_SECOND_ORDER, p=zero_mean(p)), "p_second_order"),
+        (swept(OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=f), "Q"), recover_Q, hand_recover_Q, True),
+        (swept(OperatorSpec(KIND_SECOND_ORDER, p=p), "p_second_order"),
          recover_Q, hand_recover_Q, True),
     ]
     for sr, recover, hand, bitwise in cases:
         want, want_wrap = hand(sr)
+        # the same grid mean at the wrap point
+        mean = np.mean(want)
+        want, want_wrap = want - mean, want_wrap - mean
         got = recover(sr)
         assert np.array_equal(got[:, 0], sr.taus)
         if bitwise:

@@ -547,6 +547,14 @@ def test_dikii_degenerate_endpoint_curvature():
     assert rep.verdict == "indistinguishable"
 
 
+@pytest.mark.parametrize("variant", [DisputeVariant.DIKII_TRFD1, DisputeVariant.DIKII_D2])
+def test_dikii_reference_side_is_the_s01_right_side(variant):
+    # the reference side is the closed-form S01 right side, bit for bit
+    p = COS2 + Coefficient.harmonic_cos(4, -0.5)
+    rep = dispute(variant, p, n=64, k=16)
+    assert rep.reference_rhs == rhs(FormulaId.S01, CoefficientSet(p=p))
+
+
 def test_dikii_rejects_sine_component():
     with pytest.raises(PreconditionError):
         dispute(DisputeVariant.DIKII_D2, SIN2, n=64, k=16)
