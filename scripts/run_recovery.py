@@ -41,7 +41,7 @@ def main() -> int:
                 f"{result.taus[i]:.17g},{rec[i, 1]:.17g},{truth[i]:.17g},{err[i]:.17g}\n"
             )
 
-    fitted = fit_trig(result.taus, rec[:, 1], max_harmonic=1)
+    fitted = fit_trig(rec[:, 1], max_harmonic=1)
     print(f"recovered q on a {args.grid}-point grid (N={args.n}, K={args.k}, {args.mode})")
     print(f"sup error      : {err.max():.3e}")
     print(f"wrap gap       : {result.wrap_gap():.3e}")

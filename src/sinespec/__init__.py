@@ -8,7 +8,7 @@ from .coeffs import ZERO, Coefficient, Functionals, big_P, build_V
 from .errors import CoefficientFileError, NumericError, PreconditionError
 from .eigensolve import Spectrum, spectrum, trust_scale
 from .inverse import SweepResult, fit_trig, recover_Q, recover_V, recover_q, sweep
-from .linalg import compensated_cumsum, factored_eigvalsh, graded_eigvalsh
+from .linalg import factored_eigvalsh, graded_eigvalsh
 from .operators import (
     KIND_FOURTH_ORDER,
     KIND_SECOND_ORDER,
@@ -66,7 +66,6 @@ __all__ = [
     "trust_scale",
     "graded_eigvalsh",
     "factored_eigvalsh",
-    "compensated_cumsum",
     "FormulaId",
     "CoefficientSet",
     "TraceReport",

@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("spectrum", cmd_spectrum, "eigenvalues with trust annotations",
                 "--p", "--q", "--Q", "--tau", "-N", "--out", "--format")
     p.add_argument("--kind", choices=tuple(_KIND_FLAGS), default="H")
-    p.add_argument("--dump-matrix", dest="dump_matrix", metavar="FILE", help="write the assembled matrix as CSV")
+    p.add_argument("--dump-matrix", dest="dump_matrix", metavar="FILE",
+                   help="write the assembled matrix as CSV")
 
     p = command("trace", cmd_trace, "verify one trace identity", *_SHARED)
     p.add_argument("--formula", required=True, choices=[f.value for f in FormulaId])

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import NumericError, PreconditionError
 
 __all__ = [
     "Coefficient",
@@ -56,6 +56,15 @@ def _trimmed(values, keep_one=False):
     if keep_one and not vals:
         vals = [0.0]
     return tuple(vals)
+
+
+def _derived(u, w) -> "Coefficient":
+    """The coefficient of amplitudes computed from finite ones: one that
+    overflows the float range is a numeric failure, not bad input."""
+    try:
+        return Coefficient(u=tuple(u), w=tuple(w))
+    except ValueError:
+        raise NumericError("a coefficient derived from the input overflows") from None
 
 
 @dataclass(frozen=True)
@@ -171,10 +180,10 @@ class Coefficient:
         ua, wa = self._aligned()
         j = np.arange(self.degree + 1, dtype=float)
         if order == 1:
-            return Coefficient(u=tuple(np.pi * j * wa), w=tuple((-np.pi * j * ua)[1:]))
+            return _derived(np.pi * j * wa, (-np.pi * j * ua)[1:])
         if order == 2:
             fac = -((np.pi * j) ** 2)
-            return Coefficient(u=tuple(fac * ua), w=tuple((fac * wa)[1:]))
+            return _derived(fac * ua, (fac * wa)[1:])
         raise ValueError("unsupported derivative order (must be 1 or 2)")
 
     @functools.lru_cache(maxsize=256)
@@ -193,7 +202,7 @@ class Coefficient:
         j = np.arange(self.degree + 1, dtype=float)
         cj = np.cos(np.pi * j * tau)
         sj = np.sin(np.pi * j * tau)
-        return Coefficient(u=tuple(ua * cj + wa * sj), w=tuple((-ua * sj + wa * cj)[1:]))
+        return _derived(ua * cj + wa * sj, (-ua * sj + wa * cj)[1:])
 
     # -- ring operations -----------------------------------------------------
 
@@ -207,7 +216,7 @@ class Coefficient:
                 u[j] += v
             for j, v in enumerate(f.w):
                 w[j] += v
-        return Coefficient(u=tuple(u), w=tuple(w))
+        return _derived(u, w)
 
     def __neg__(self) -> "Coefficient":
         return Coefficient(u=tuple(-v for v in self.u), w=tuple(-v for v in self.w))
@@ -219,7 +228,7 @@ class Coefficient:
 
     def scale(self, c: float) -> "Coefficient":
         c = float(c)
-        return Coefficient(u=tuple(c * v for v in self.u), w=tuple(c * v for v in self.w))
+        return _derived([c * v for v in self.u], [c * v for v in self.w])
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -321,7 +330,7 @@ def _product(f: Coefficient, g: Coefficient) -> Coefficient:
                 if j != k:
                     w[d] += 0.5 * math.copysign(1.0, k - j) * cs
     w[0] = 0.0
-    return Coefficient(u=tuple(u), w=tuple(w[1:]))
+    return _derived(u, w[1:])
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import Coefficient
-from .errors import PreconditionError
+from .errors import NumericError, PreconditionError
 from .linalg import factored_eigvalsh, graded_eigvalsh
 from .operators import (
     KIND_SECOND_ORDER,
@@ -119,12 +119,20 @@ def factored_shift(spec: OperatorSpec) -> float:
     -sup |Q|, since h^2 is a Gram matrix.  H = D^4 + 2 D p D + q_eff is
     bounded below by -(sup |p|)^2 - sup |q_eff|, because
     ||y''||^2 - 2 P ||y'||^2 >= -P^2 ||y||^2 when ||y'||^2 <= ||y''|| ||y||.
+    A sigma beyond the float range raises ``NumericError``.
     """
     if spec.kind == KIND_SECOND_ORDER:
-        return 1.0 + _sup_bound(spec.p)
-    if spec.kind == KIND_SQUARE_PLUS_Q:
-        return 1.0 + _sup_bound(spec.Q)
-    return 1.0 + _sup_bound(spec.p) ** 2 + _sup_bound(spec.fourth_order_q())
+        sigma = 1.0 + _sup_bound(spec.p)
+    elif spec.kind == KIND_SQUARE_PLUS_Q:
+        sigma = 1.0 + _sup_bound(spec.Q)
+    else:
+        try:
+            sigma = 1.0 + _sup_bound(spec.p) ** 2 + _sup_bound(spec.fourth_order_q())
+        except OverflowError:
+            sigma = math.inf
+    if not math.isfinite(sigma):
+        raise NumericError(f"the shift of the factored {spec.kind} solve overflows")
+    return sigma
 
 
 def _truncation(coupling: np.ndarray, diag: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -199,25 +199,22 @@ def recover_Q(sr: SweepResult) -> np.ndarray:
     return _invert(sr, sr.target)
 
 
-def fit_trig(taus, values, max_harmonic: int) -> Coefficient:
-    """Least-squares 1-periodic trigonometric fit of grid samples.
+def fit_trig(values, max_harmonic: int) -> Coefficient:
+    """Least-squares 1-periodic trigonometric fit of samples on the grid
+    tau_j = j / G of a sweep, G = len(values).
 
     Returns a Coefficient carrying only even frequencies 2m, m up to
-    ``max_harmonic``; needs at least 2*max_harmonic + 1 samples.
+    ``max_harmonic``; needs G >= 2*max_harmonic + 1.  On that grid least
+    squares is the truncated DFT F = rfft(values): u_0 = Re F_0 / G,
+    u_2m = 2 Re F_m / G and w_2m-1 = -2 Im F_m / G.
     """
-    taus = np.asarray(taus, dtype=float)
     values = np.asarray(values, dtype=float)
-    if taus.size < 2 * max_harmonic + 1:
+    if values.size < 2 * max_harmonic + 1:
         raise ValueError("not enough samples for the requested harmonic count")
-    cols = [np.ones_like(taus)]
-    for m in range(1, max_harmonic + 1):
-        cols.append(np.cos(2.0 * np.pi * m * taus))
-        cols.append(np.sin(2.0 * np.pi * m * taus))
-    coef, *_ = np.linalg.lstsq(np.column_stack(cols), values, rcond=None)
+    f = np.fft.rfft(values)[: max_harmonic + 1] * (2.0 / values.size)
     u = np.zeros(2 * max_harmonic + 1)
     w = np.zeros(2 * max_harmonic)
-    u[0] = coef[0]
-    for m in range(1, max_harmonic + 1):
-        u[2 * m] = coef[2 * m - 1]
-        w[2 * m - 1] = coef[2 * m]
+    u[0] = f[0].real / 2.0
+    u[2::2] = f[1:].real
+    w[1::2] = -f[1:].imag
     return Coefficient(u=tuple(u), w=tuple(w))

@@ -1,8 +1,8 @@
-"""Small numeric helpers: graded symmetric solves and compensated sums."""
+"""Small numeric helpers: graded symmetric solves."""
 
 import numpy as np
 
-__all__ = ["graded_eigvalsh", "factored_eigvalsh", "compensated_cumsum"]
+__all__ = ["graded_eigvalsh", "factored_eigvalsh"]
 
 
 def graded_eigvalsh(a):
@@ -40,23 +40,3 @@ def factored_eigvalsh(a, sigma: float):
     b[np.diag_indices_from(b)] += sigma
     s = np.linalg.svd(np.linalg.cholesky(b), compute_uv=False)
     return s[::-1] ** 2 - sigma
-
-
-def compensated_cumsum(terms):
-    """Prefix sums of ``terms`` accumulated with Neumaier compensation.
-
-    The loop runs on Python floats, which do the same IEEE double
-    operations as numpy scalars at a fraction of the cost per operation.
-    """
-    out = []
-    s = 0.0
-    c = 0.0
-    for x in np.asarray(terms, dtype=float).tolist():
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-        out.append(s + c)
-    return np.array(out, dtype=float)

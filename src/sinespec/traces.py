@@ -41,14 +41,20 @@ so one summand, one right side and one ``fourier`` tail, -c_2n(V) + C/n^2
 per term with C a closed-form functional of p and V, serve all eight, in
 every mode.  ``FORMULAS`` holds one entry per id: GLF with its own
 summand, right side and tail, and for the others only the signed roles,
-the tolerance and the hypotheses.  A circle shift is a property of the coefficients, f(x) -> f(x + tau), and is applied once,
-by ``CoefficientSet.shifted``: at a shift tau, ``verify`` reads the
-spectra, summand, tail and right side of the shifted set, and a right
-side stated at x = 0, 1 is read at tau, as in IPR1 and IP2.
+the tolerance and the hypotheses.
+
+A circle shift is a property of the coefficients, f(x) -> f(x + tau),
+and is applied once, by ``CoefficientSet.shifted``: at a shift tau,
+``verify`` reads the spectra, summand, tail and right side of the
+shifted set, and a right side stated at x = 0, 1 is read at tau, as in
+IPR1 and IP2.
 
 Counterterms are evaluated in the expanded form
-mu_n - (pi n)^4 + 2 p0 (pi n)^2 - p0^2 to limit cancellation, and the
-partial sums are accumulated with compensated summation.
+mu_n - (pi n)^4 + 2 p0 (pi n)^2 - p0^2 to limit cancellation.  The
+partial sums are plain running sums (``np.cumsum``): each summand is what
+is left of mu_n after a counterterm of size (pi n)^4 is taken off, so it
+carries the rounding of mu_n, about eps (pi n)^4, and adding it to a
+running sum of modest size rounds far below that.
 
 Whatever depends only on the input is memoized by value in bounded
 ``functools.lru_cache`` tables, so a ``verify`` whose spectra are cached
@@ -57,10 +63,10 @@ report is memoized.  ``Formula.read`` holds, per identity and coefficient
 set, the role specs, the summand's p0, P and q0, the right side and each
 term's tail model, and on a miss builds each role's spec, q_eff and V
 once; ``check_preconditions`` keeps only the inputs that
-pass, so a refusal is raised on every call; ``CoefficientSet.shifted``
-and ``CoefficientSet.digest``, (pi n)^2 and log n per K, and the
-``fourier`` tail pieces are memoized too.  The rate exponent is the
-closed-form least-squares slope of log |S_n - S| against log n.
+pass, so a refusal is raised on every call; ``CoefficientSet.shifted``,
+``CoefficientSet.digest`` and the ``fourier`` tail pieces are memoized
+too.  The rate exponent is the closed-form least-squares slope of
+log |S_n - S| against log n.
 """
 
 from __future__ import annotations
@@ -74,7 +80,6 @@ import numpy as np
 
 from .coeffs import ZERO, Coefficient, big_P, build_V
 from .errors import PreconditionError
-from .linalg import compensated_cumsum
 from .operators import KIND_FOURTH_ORDER, KIND_SECOND_ORDER, KIND_SQUARE_PLUS_Q, OperatorSpec
 from .eigensolve import Spectrum, spectrum
 
@@ -183,20 +188,9 @@ def _role_spec(role: str, cs: CoefficientSet) -> OperatorSpec:
     return OperatorSpec(kind, **{name: getattr(cs, name) for name in names})
 
 
-@functools.lru_cache(maxsize=64)
 def _z2(k: int) -> np.ndarray:
-    """(pi n)^2, n = 1..k, read-only."""
-    z2 = (np.pi * np.arange(1, k + 1, dtype=float)) ** 2
-    z2.flags.writeable = False
-    return z2
-
-
-@functools.lru_cache(maxsize=64)
-def _log_k(k: int) -> np.ndarray:
-    """log n, n = 1..k, read-only."""
-    x = np.log(np.arange(1, k + 1, dtype=float))
-    x.flags.writeable = False
-    return x
+    """(pi n)^2, n = 1..k."""
+    return (np.pi * np.arange(1, k + 1, dtype=float)) ** 2
 
 
 @functools.lru_cache(maxsize=64)
@@ -435,12 +429,12 @@ def summand(formula: FormulaId, n: int, spectra, coeffs: CoefficientSet) -> floa
 
 
 def partial_sums(formula: FormulaId, spectra, coeffs: CoefficientSet, k: int) -> np.ndarray:
-    """Compensated prefix sums S_1..S_k of the regularized summands."""
+    """Prefix sums S_1..S_k of the regularized summands."""
     formula = FormulaId(formula)
     check_preconditions(formula, coeffs)
     for spec in spectra.values():
         spec.require_trusted(k)
-    return compensated_cumsum(_summands(formula, spectra, coeffs, k))
+    return np.cumsum(_summands(formula, spectra, coeffs, k))
 
 
 def rhs(formula: FormulaId, coeffs: CoefficientSet) -> float:
@@ -512,7 +506,7 @@ def _fit_rate(partial: np.ndarray, accelerated: float, k: int) -> float:
     count = int(np.count_nonzero(keep))
     if count < 3:
         return float("nan")
-    x = _log_k(k)[lo - 1 :][keep]
+    x = np.log(np.arange(1, k + 1, dtype=float))[lo - 1 :][keep]
     y = np.log(resid[keep])
     x = x - x.sum() / count
     return float(x @ (y - y.sum() / count) / (x @ x))
@@ -577,13 +571,13 @@ class AsymptoticsReport:
 def asym_residuals(spec: OperatorSpec, n: int = 256, k: int = 64) -> AsymptoticsReport:
     """Residuals r_m = mu_m - [((pi m)^2-p0)^2 - (P+p0^2)/2 + q0 - Vhat_cm].
 
-    Returns r_1..r_k together with ``fitted_c``, the mean of m^2 |r_m| over
-    m in [FIT_LO, k]: the magnitude of C in r_m ~ C / m^2, without its
-    sign (0.745 for p = cos 2 pi x), and ``derived_c``, the signed C of
-    the closed form (``_tail_constant``) for (p, q + Q) (-0.75 there).
-    The expansion holds when it is finite and stable under refinement.  r_m is the TRF3 summand with the spec's
-    ``fourth_order_q``, q + Q, in place of q, plus the m-th even cosine
-    of V.
+    Returns r_1..r_k together with ``fitted_c``, the mean of m^2 r_m over
+    m in [FIT_LO, k]: C in r_m ~ C / m^2, with its sign (-0.745 for
+    p = cos 2 pi x), and ``derived_c``, C in closed form
+    (``_tail_constant``) for (p, q + Q) (-0.75 there).  The expansion
+    holds when it is finite and stable under refinement.  r_m is the TRF3
+    summand with the spec's ``fourth_order_q``, q + Q, in place of q, plus
+    the m-th even cosine of V.
     """
     if spec.kind != KIND_FOURTH_ORDER:
         raise PreconditionError("asymptotic residuals are defined for the fourth-order family")
@@ -597,7 +591,7 @@ def asym_residuals(spec: OperatorSpec, n: int = 256, k: int = 64) -> Asymptotics
     trf3 = FORMULAS[FormulaId.TRF3]
     v = build_V(cs.p, cs.q)
     r = trf3.summand({"mu": s.vals[:k]}, cs, _z2(k)) + _even_cosines(v, k)
-    fitted = float(np.mean(ns[FIT_LO - 1 :] ** 2 * np.abs(r[FIT_LO - 1 :])))
+    fitted = float(np.mean(ns[FIT_LO - 1 :] ** 2 * r[FIT_LO - 1 :]))
     return AsymptoticsReport(
         residuals=r, fitted_c=fitted, derived_c=_tail_constant(cs.p, v),
         fit_lo=FIT_LO, fit_hi=k, basis_n=n,

@@ -11,6 +11,8 @@ can hold the library to the same outputs bit for bit:
 - ``loop_localization``: the window and disc counts, one index at a time;
 - ``polyfit_rate``: the rate exponent of a ``TraceReport``, fitted by
   ``np.polyfit``;
+- ``lstsq_fit_trig``: ``fit_trig`` by least squares over a design matrix
+  of the grid's cosines and sines;
 - ``_second_order_constant``: the 1/n^2 constant of the TRF3 summand from
   a Rayleigh-Schroedinger sum over the Galerkin entries, extrapolated from
   n = 128 and 256; it holds the second-order part of the closed form
@@ -212,3 +214,20 @@ def hand_recover_q(sr):
 def hand_recover_Q(sr):
     sign = -2.0 if sr.target == "Q" else 2.0
     return sign * sr.accelerated, float(sign * sr.wrap_accelerated)
+
+
+def lstsq_fit_trig(taus, values, max_harmonic):
+    """``fit_trig`` by ``np.linalg.lstsq`` over a cosine-sine design matrix."""
+    taus = np.asarray(taus, dtype=float)
+    cols = [np.ones_like(taus)]
+    for m in range(1, max_harmonic + 1):
+        cols.append(np.cos(2.0 * np.pi * m * taus))
+        cols.append(np.sin(2.0 * np.pi * m * taus))
+    coef, *_ = np.linalg.lstsq(np.column_stack(cols), values, rcond=None)
+    u = np.zeros(2 * max_harmonic + 1)
+    w = np.zeros(2 * max_harmonic)
+    u[0] = coef[0]
+    for m in range(1, max_harmonic + 1):
+        u[2 * m] = coef[2 * m - 1]
+        w[2 * m - 1] = coef[2 * m]
+    return Coefficient(u=tuple(u), w=tuple(w))

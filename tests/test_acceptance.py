@@ -162,7 +162,7 @@ def test_criterion_09_asymptotic_residual_stability():
     spec = lambda: OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2)
     c256 = asym_residuals(spec(), n=256, k=64).fitted_c
     c512 = asym_residuals(spec(), n=512, k=64).fitted_c
-    change = abs(c512 - c256) / c256
+    change = abs(c512 - c256) / abs(c256)
     ok = np.isfinite(c256) and np.isfinite(c512) and change <= 0.20
     assert report(
         9, "asymptotic residual constant", ok,

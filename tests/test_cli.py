@@ -161,6 +161,29 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, cos2, argv):
         assert "--format" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--formula", "TRF3", "-N", "32", "-K", "8"],
+        ["trace", "--formula", "GLF", "-N", "32", "-K", "8"],
+        ["asym", "-N", "32", "-K", "8"],
+        ["spectrum", "--kind", "H", "-N", "16"],
+    ],
+    ids=["trace-TRF3", "trace-GLF", "asym", "spectrum-H"],
+)
+def test_overflow_of_a_derived_value_exits_1_with_message(tmp_path, capsys, argv):
+    # every amplitude of p = 1e200 cos 2 pi x is finite, but p^2 (P, and
+    # the sigma of the factored solve) is not
+    big = write_coeff(tmp_path, "big.json", u=(0, 0, 1e200))
+    assert main(argv + ["--p", big]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "Traceback" not in err
+    # an amplitude that is itself not finite is bad input
+    (tmp_path / "inf.json").write_text('{"u": [0, 0, Infinity]}')
+    assert main(argv + ["--p", str(tmp_path / "inf.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "argv",
@@ -261,7 +284,7 @@ def test_asym_json_reports_the_signed_derived_constant(tmp_path, capsys, cos2):
     assert code == 0
     data = json.loads(out_path.read_text())
     assert data["derived_c"] == pytest.approx(-0.75, abs=1e-6)
-    assert data["fitted_c"] > 0.0
+    assert data["fitted_c"] < 0.0
 
 
 def test_localize_command(capsys, cos2):

@@ -6,7 +6,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import coefficients, simpson_integral
-from sinespec import Coefficient, PreconditionError, ZERO, big_P, build_V, coeffs
+from sinespec import Coefficient, NumericError, PreconditionError, ZERO, big_P, build_V, coeffs
 
 PI = math.pi
 
@@ -42,6 +42,15 @@ def test_amplitudes_must_be_finite_reals(amp):
     for fields in ({"u": (0.0, amp)}, {"w": (amp,)}):
         with pytest.raises(ValueError, match="finite reals"):
             Coefficient(**fields)
+
+
+def test_an_overflowing_derived_coefficient_is_a_numeric_failure():
+    # finite amplitudes whose product, scale, sum or derivative is not
+    big = Coefficient(u=(0.0, 0.0, 1e308))
+    for derive in (lambda f: f * f, lambda f: f.scale(10.0), lambda f: f + f,
+                   lambda f: f.derivative(2), big_P):
+        with pytest.raises(NumericError, match="overflows"), np.errstate(over="ignore"):
+            derive(big)
 
 
 # -- derivative --------------------------------------------------------------

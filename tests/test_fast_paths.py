@@ -2,10 +2,10 @@
 
 Each is held to the path it replaced (``reference_paths``) or to its own
 undecorated function: the 2n x n block ``spectrum`` assembles, the memo
-caches, coefficient sums and products and the compensated sum over Python
-floats, the searchsorted localization counts, and the closed-form rate
-fit.  ``verify`` is held to the public functions it calls, and those
-still refuse bad input on every call.  The last tests check the memo
+caches, coefficient sums and products over Python floats, the running
+partial sums against the compensated ones, the searchsorted localization
+counts, and the closed-form rate fit.  ``verify`` is held to the public
+functions it calls, and those still refuse bad input on every call.  The last tests check the memo
 caches: every one is found, every one is hit on the panel and a sweep,
 and a repeated panel pass computes nothing again.
 """
@@ -41,7 +41,6 @@ from sinespec import (
     ZERO,
     assemble_spec,
     check_preconditions,
-    compensated_cumsum,
     dispute,
     partial_sums,
     recover_q,
@@ -214,32 +213,28 @@ def test_sum_and_product_match_numpy_loops(f, g):
     assert bits(f * g) == bits(numpy_scalar_product(f, g))
 
 
-# -- compensated summation ---------------------------------------------------------------
-
-finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
-# runs of one term, one signed zero, or x, y, -x: a small y between two
-# terms that cancel
-chunks = st.one_of(
-    finite.map(lambda x: [x]),
-    st.sampled_from([[0.0], [-0.0]]),
-    st.tuples(finite, st.floats(-1.0, 1.0)).map(lambda t: [t[0], t[1], -t[0]]),
-)
+# -- partial sums ------------------------------------------------------------------------
 
 
-@given(st.lists(chunks, max_size=30).map(lambda runs: [x for run in runs for x in run]))
-@example([])
-@example([-0.0])
-@example([-0.0, -0.0, 0.0, -0.0])
-@example([1e16, 1.0, -1e16, 1.0, -0.0])
-@example([1.0, 1e100, 1.0, -1e100])
-@example([0.1] * 10 + [-1.0])
-def test_compensated_cumsum_matches_numpy_scalar_loop(terms):
-    assert bits(compensated_cumsum(terms)) == bits(numpy_scalar_cumsum(terms))
+def test_partial_sums_keep_the_compensated_bits_on_the_panel():
+    # each summand is about ulp(mu_n) after its (pi n)^4 counterterm, so the
+    # running sums round nowhere the Neumaier loop would have corrected
+    for formula, cs, tau in trace_suite_panel():
+        cs = cs.shifted(tau)
+        spectra = spectra_for(formula, cs, 256)
+        terms = traces._summands(formula, spectra, cs, 64)
+        assert bits(partial_sums(formula, spectra, cs, 64)) == bits(numpy_scalar_cumsum(terms))
 
 
-def test_compensated_cumsum_reads_an_array():
-    terms = np.array([3.0, -1e-17, 1e17, -1e17])
-    assert bits(compensated_cumsum(terms)) == bits(numpy_scalar_cumsum(terms))
+@given(coefficients(max_degree=4), coefficients(max_degree=4), coefficients(max_degree=4))
+def test_partial_sums_within_recursive_summation_bound(p, q, Q):
+    # |fl(S_n) - S_n| <= K eps sum_{m <= n} |s_m|, the textbook bound
+    n, k = 32, 16
+    cs = CoefficientSet(p=p, q=q, Q=Q)
+    spectra = spectra_for(FormulaId.TR3, cs, n)
+    terms = traces._summands(FormulaId.TR3, spectra, cs, k)
+    err = np.abs(partial_sums(FormulaId.TR3, spectra, cs, k) - numpy_scalar_cumsum(terms))
+    assert np.all(err <= k * np.finfo(float).eps * np.cumsum(np.abs(terms)))
 
 
 # -- localization ---------------------------------------------------------------------
@@ -448,8 +443,6 @@ def test_memo_caches_are_found():
         "CoefficientSet.digest",
         "Formula.read",
         "sinespec.traces.check_preconditions",
-        "sinespec.traces._z2",
-        "sinespec.traces._log_k",
     }
 
 

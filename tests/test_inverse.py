@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 
 from conftest import coefficients, shifted_spec
-from reference_paths import hand_recover_Q, hand_recover_V, hand_recover_q
+from reference_paths import hand_recover_Q, hand_recover_V, hand_recover_q, lstsq_fit_trig
 from sinespec import eigensolve
 from sinespec import (
     Coefficient,
@@ -252,9 +252,22 @@ def test_target_kind_mismatch_rejected():
 def test_fit_trig_reproduces_samples():
     taus = np.arange(16) / 16.0
     values = 0.25 + 2.0 * np.cos(2 * PI * taus) - 0.5 * np.sin(4 * PI * taus)
-    fitted = fit_trig(taus, values, 2)
+    fitted = fit_trig(values, 2)
     assert np.allclose(fitted.evaluate(taus), values, atol=1e-12)
     assert fitted.is_one_periodic()
+
+
+def test_fit_trig_matches_the_least_squares_fit():
+    # on the uniform grid the truncated DFT is the least-squares solution
+    rng = np.random.default_rng(20)
+    for g in range(4, 34):
+        values = rng.uniform(-1.0, 1.0, g)
+        taus = np.arange(g) / g
+        for m in range((g - 1) // 2 + 1):
+            got, want = fit_trig(values, m), lstsq_fit_trig(taus, values, m)
+            assert len(got.u) == len(want.u) and len(got.w) == len(want.w)
+            assert np.max(np.abs(np.subtract(got.u, want.u)), initial=0.0) <= 1e-14
+            assert np.max(np.abs(np.subtract(got.w, want.w)), initial=0.0) <= 1e-14
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -88,7 +89,7 @@ def test_recovery_script_writes_csv(tmp_path):
 
 # Names the benchmark's tracer still lists although the package dropped them
 # on purpose; each goes once perfbench/tracing.py stops naming it.
-STALE_TRACER_NAMES = {"sinespec.operators.graded_eigh"}
+STALE_TRACER_NAMES = {"sinespec.operators.graded_eigh", "sinespec.traces.compensated_cumsum"}
 
 
 def test_tracer_names_resolve():
@@ -107,3 +108,15 @@ def test_tracer_names_resolve():
         if owner is None:
             missing.append(f"{module_name}.{attr}")
     assert set(missing) <= STALE_TRACER_NAMES
+
+
+def test_every_exported_name_resolves():
+    # a name left in an __all__ after its definition went breaks
+    # ``from sinespec import *`` and the documented API alike
+    import sinespec
+
+    modules = [sinespec] + [importlib.import_module(f"sinespec.{info.name}")
+                            for info in pkgutil.iter_modules(sinespec.__path__)]
+    missing = [f"{m.__name__}.{name}" for m in modules
+               for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
+    assert missing == []

@@ -445,7 +445,7 @@ def test_asym_residuals_vanish_for_constant_p():
 def test_asym_residuals_cos_2pi_bounded():
     rep = asym_residuals(OperatorSpec(KIND_FOURTH_ORDER, p=COS2), n=256, k=64)
     assert np.isfinite(rep.fitted_c)
-    assert rep.fitted_c < 2.0
+    assert abs(rep.fitted_c) < 2.0
     ns = np.arange(8, 65)
     assert np.max(ns**2 * np.abs(rep.residuals[7:])) < 2.0
 
@@ -453,7 +453,7 @@ def test_asym_residuals_cos_2pi_bounded():
 def test_asym_residuals_pure_q_bounded():
     rep = asym_residuals(OperatorSpec(KIND_FOURTH_ORDER, q=SIN2), n=256, k=64)
     assert np.isfinite(rep.fitted_c)
-    assert rep.fitted_c < 1.0
+    assert abs(rep.fitted_c) < 1.0
 
 
 def test_asym_rejects_k_below_fit_start():
@@ -736,10 +736,19 @@ def test_asym_reports_the_signed_derived_constant(tmp_path):
     assert rep.derived_c == _tail_constant(COS2, build_V(COS2, ZERO))
     assert rep.derived_c == pytest.approx(-0.75, abs=1e-12)
     assert abs(rep.derived_c - _second_order_constant(COS2, ZERO)) <= 1e-6
-    assert rep.fitted_c == pytest.approx(0.745, abs=5e-3)
+    assert rep.fitted_c == pytest.approx(-0.745, abs=5e-3)
     path = tmp_path / "asym.json"
     _write_report(argparse.Namespace(out=str(path)), rep)
     assert json.loads(path.read_text())["derived_c"] == rep.derived_c
+
+
+@pytest.mark.parametrize("q", [ZERO, COS2.scale(-60.0)], ids=["q=0", "q=-60cos2pix"])
+def test_asym_fitted_constant_has_the_sign_of_the_derived_one(q):
+    # C is -0.75 at q = 0 and +0.77 at q = -60 cos 2 pi x: the fit follows
+    # it through zero, where a mean of m^2 |r_m| would not
+    rep = asym_residuals(OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=q), n=256, k=64)
+    assert np.sign(rep.fitted_c) == np.sign(rep.derived_c)
+    assert rep.fitted_c == pytest.approx(rep.derived_c, rel=0.02)
 
 
 def test_asym_derived_constant_reads_the_shifted_q_plus_Q():
