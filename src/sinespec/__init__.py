@@ -21,6 +21,8 @@ from .operators import (
     multiplication_matrix,
 )
 from .traces import (
+    DEFAULT_K,
+    DEFAULT_N,
     DEFAULT_TOLERANCES,
     AsymptoticsReport,
     CoefficientSet,
@@ -74,6 +76,8 @@ __all__ = [
     "AsymptoticsReport",
     "LocalizationReport",
     "DEFAULT_TOLERANCES",
+    "DEFAULT_N",
+    "DEFAULT_K",
     "check_preconditions",
     "spectra_for",
     "summand",

@@ -31,6 +31,8 @@ from .operators import (
     assemble_spec,
 )
 from .traces import (
+    DEFAULT_K,
+    DEFAULT_N,
     DEFAULT_TOLERANCES,
     CoefficientSet,
     DisputeVariant,
@@ -277,8 +279,10 @@ _SHARED = {
     "--q": {"dest": "q_path", "metavar": "FILE", "help": "coefficient q (JSON)"},
     "--Q": {"dest": "Q_path", "metavar": "FILE", "help": "coefficient Q (JSON)"},
     "--tau": {"type": float, "default": 0.0, "help": "circle shift (default 0)"},
-    "-N": {"dest": "n_basis", "type": int, "default": 256, "help": "basis size (default 256)"},
-    "-K": {"dest": "k_trunc", "type": int, "default": 64, "help": "sum truncation (default 64)"},
+    "-N": {"dest": "n_basis", "type": int, "default": DEFAULT_N,
+           "help": f"basis size (default {DEFAULT_N})"},
+    "-K": {"dest": "k_trunc", "type": int, "default": DEFAULT_K,
+           "help": f"sum truncation (default {DEFAULT_K})"},
     "--mode": {
         "choices": ("fourier", "richardson", "none"),
         "default": "fourier",

@@ -58,6 +58,15 @@ def _trimmed(values, keep_one=False):
     return tuple(vals)
 
 
+def _finite(value):
+    """``value`` (a float, a tuple or an array computed from finite
+    amplitudes), once every entry is checked finite: one that overflowed
+    the float range is a numeric failure, not bad input."""
+    if not np.all(np.isfinite(value)):
+        raise NumericError("a value derived from the input coefficients overflows")
+    return value
+
+
 def _derived(u, w) -> "Coefficient":
     """The coefficient of amplitudes computed from finite ones: one that
     overflows the float range is a numeric failure, not bad input."""
@@ -248,9 +257,10 @@ class Coefficient:
         # int_0^1 cos(pi j x) dx = 0 for j >= 1; int_0^1 sin(pi j x) dx = 2/(pi j) for odd j
         ua, wa = self._aligned()
         total = ua[0]
-        for j in range(1, self.degree + 1, 2):
-            total += wa[j] * 2.0 / (math.pi * j)
-        return float(total)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(1, self.degree + 1, 2):
+                total += wa[j] * 2.0 / (math.pi * j)
+        return _finite(float(total))
 
     def cosine_coeffs(self, k_max: int) -> np.ndarray:
         """Closed-form cosine transform c_k = int_0^1 f cos(pi k x) dx, k = 0..k_max.
@@ -266,14 +276,15 @@ class Coefficient:
         c[0] = self._mean()
         top = min(self.degree, k_max)
         c[1 : top + 1] += 0.5 * ua[1 : top + 1]
-        for j in range(1, self.degree + 1):
-            if wa[j] == 0.0:
-                continue
-            start = 1 if j % 2 == 0 else 2
-            ks = np.arange(start, k_max + 1, 2, dtype=float)
-            if ks.size:
-                c[start :: 2] += wa[j] * (2.0 * j / math.pi) / (j * j - ks * ks)
-        return c
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(1, self.degree + 1):
+                if wa[j] == 0.0:
+                    continue
+                start = 1 if j % 2 == 0 else 2
+                ks = np.arange(start, k_max + 1, 2, dtype=float)
+                if ks.size:
+                    c[start :: 2] += wa[j] * (2.0 * j / math.pi) / (j * j - ks * ks)
+        return _finite(c)
 
     @functools.lru_cache(maxsize=256)
     def functionals(self) -> "Functionals":
@@ -286,15 +297,17 @@ class Coefficient:
         j = np.arange(self.degree + 1, dtype=float)
         sgn = (-1.0) ** j
         pj = np.pi * j
-        return Functionals(
-            mean=self._mean(),
-            end0=float(ua.sum()),
-            end1=float((ua * sgn).sum()),
-            d1_0=float((pj * wa).sum()),
-            d1_1=float((pj * wa * sgn).sum()),
-            d2_0=float(-((pj**2) * ua).sum()),
-            d2_1=float(-((pj**2) * ua * sgn).sum()),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = (
+                self._mean(),
+                float(ua.sum()),
+                float((ua * sgn).sum()),
+                float((pj * wa).sum()),
+                float((pj * wa * sgn).sum()),
+                float(-((pj**2) * ua).sum()),
+                float(-((pj**2) * ua * sgn).sum()),
+            )
+        return Functionals(*_finite(values))
 
     def l2sq(self) -> float:
         """int f^2, the mean of the exact product f * f."""

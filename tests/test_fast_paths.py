@@ -12,7 +12,11 @@ and a repeated panel pass computes nothing again.
 
 import importlib.util
 import math
+import os
+import pickle
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -484,3 +488,73 @@ def test_second_panel_pass_misses_no_memo_cache():
     panel_pass()
     assert {name: cache.cache_info().misses - misses[name] for name, cache in caches.items()} == (
         dict.fromkeys(caches, 0))
+
+
+# -- hashing the memo keys ---------------------------------------------------------------
+
+SET_PARTS = {"p": COS2 + SIN2.scale(0.5), "Q": COS4}
+
+
+def test_equal_sets_and_specs_hash_once_and_share_one_entry(monkeypatch):
+    built = (CoefficientSet(**SET_PARTS), OperatorSpec(KIND_SQUARE_PLUS_Q, **SET_PARTS))
+    copies = {name: copy_of(f) for name, f in SET_PARTS.items()}
+    again = (CoefficientSet(**copies), OperatorSpec(KIND_SQUARE_PLUS_Q, **copies))
+    memos = ((CoefficientSet.digest, lambda cs: cs.digest()),
+             (OperatorSpec.fourth_order_q, lambda spec: spec.fourth_order_q()))
+    for first, second, (memo, call) in zip(built, again, memos):
+        assert first is not second and first == second and hash(first) == hash(second)
+        memo.cache_clear()
+        call(first)
+        call(second)
+        info = memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    # hashed when built: a lookup hashes none of the coefficients again
+    hashed = []
+    monkeypatch.setattr(Coefficient, "__hash__", lambda f: hashed.append(f) or f._hash)
+    for key in built:
+        hash(key)
+    assert hashed == []
+
+
+PICKLE_CHILD = """
+import pickle, sys
+from sinespec import KIND_SQUARE_PLUS_Q, Coefficient, CoefficientSet, OperatorSpec
+parts = {"p": Coefficient.harmonic_cos(2) + Coefficient.harmonic_sin(2).scale(0.5),
+         "Q": Coefficient.harmonic_cos(4)}
+keys = (CoefficientSet(**parts), OperatorSpec(KIND_SQUARE_PLUS_Q, **parts))
+sys.stdout.buffer.write(pickle.dumps(keys))
+"""
+
+
+def test_a_spec_pickled_under_another_hash_seed_hashes_like_a_fresh_one():
+    # a string hashes differently under another PYTHONHASHSEED; the kind
+    # enters the hash by its index, so a pickled hash stays good
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", PICKLE_CHILD], env=env,
+                          capture_output=True, check=True)
+    pickled = pickle.loads(proc.stdout)
+    fresh = (CoefficientSet(**SET_PARTS), OperatorSpec(KIND_SQUARE_PLUS_Q, **SET_PARTS))
+    for old, new in zip(pickled, fresh):
+        assert old == new and hash(old) == hash(new)
+        assert {new: "entry"}.get(old) == "entry"
+
+
+@pytest.mark.parametrize("formula, cs, tau, mode", [
+    (FormulaId.GLF, CoefficientSet(p=COS2), 0.0, "fourier"),
+    (FormulaId.COR1, CoefficientSet(p=COS2, Q=SIN2), 0.0, "richardson"),
+    (FormulaId.IPR1, CoefficientSet(p=COS2, q=SIN2), 0.3, "fourier"),
+    (FormulaId.TR3, CoefficientSet(p=COS2, q=SIN2, Q=COS4), 0.0, "none"),
+])
+def test_a_warm_verify_reads_and_checks_once(formula, cs, tau, mode):
+    memos = (traces.Formula.read, traces.check_preconditions)
+
+    def lookups():
+        return [memo.cache_info().hits + memo.cache_info().misses for memo in memos]
+
+    rep = verify(formula, cs, n=64, k=16, mode=mode, tau=tau)
+    before = lookups()
+    assert bits(verify(formula, cs, n=64, k=16, mode=mode, tau=tau).partial) == bits(rep.partial)
+    assert [after - was for after, was in zip(lookups(), before)] == [1, 1]

@@ -36,7 +36,7 @@ from sinespec import (
 )
 from sinespec import eigensolve
 from sinespec.cli import _write_report, main
-from sinespec.traces import FORMULAS, ROLES, _HYPOTHESES, _tail_constant
+from sinespec.traces import FORMULAS, ROLES, _HYPOTHESES, _tail_constant, check_basis_size
 from reference_paths import _second_order_constant
 
 PI = math.pi
@@ -343,6 +343,47 @@ def test_partial_sums_reject_k_beyond_trust():
 def test_basis_must_cover_2k(call):
     with pytest.raises(PreconditionError, match="N >= 2K"):
         call()
+
+
+TEMPLATE_Q = OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_basis_size(64.0, 16),
+        lambda: check_basis_size(64, 16.0),
+        lambda: verify(FormulaId.GLF, CoefficientSet(p=COS2), n=64.0, k=16),
+        lambda: asym_residuals(OperatorSpec(KIND_FOURTH_ORDER, p=COS2), n=64, k=np.float64(16)),
+        # refused on every call, also once the integer key is cached
+        lambda: spectrum(OperatorSpec(KIND_SECOND_ORDER, p=COS2), 16) and
+        spectrum(OperatorSpec(KIND_SECOND_ORDER, p=COS2), 16.0),
+        lambda: spectrum(OperatorSpec(KIND_SECOND_ORDER, p=COS2), "16"),
+        lambda: sweep(TEMPLATE_Q, 4.5, n=64, k=16),
+        lambda: sweep(TEMPLATE_Q, 4.0, n=64, k=16),
+        lambda: sweep(TEMPLATE_Q, 4, n=64.0, k=16),
+    ],
+    ids=["check-N", "check-K", "verify-N", "asym-K", "spectrum-cached", "spectrum-str",
+         "sweep-grid", "sweep-grid-float", "sweep-N"],
+)
+def test_sizes_must_be_integers(monkeypatch, call):
+    # refused before any solve: the CLI's type=int does not guard the library
+    spectrum(OperatorSpec(KIND_SECOND_ORDER, p=COS2), 16)
+
+    def solve(*args, **kwargs):
+        raise AssertionError("a size that is not an integer reached a solve")
+
+    monkeypatch.setattr(eigensolve, "assemble_spec", solve)
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    check_basis_size(np.int64(64), np.int32(16))
+    cs = CoefficientSet(p=COS2)
+    want = verify(FormulaId.GLF, cs, n=64, k=16)
+    assert verify(FormulaId.GLF, cs, n=np.int64(64), k=np.int16(16)).gap == want.gap
+    assert sweep(TEMPLATE_Q, np.int64(4), n=64, k=16).taus.size == 4
 
 
 # The coefficients each formula's spectra read, stated independently of ROLES.
