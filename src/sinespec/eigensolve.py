@@ -140,12 +140,16 @@ def _truncation(coupling: np.ndarray, diag: np.ndarray, vals: np.ndarray) -> np.
     """sum_m A_mk^2 / |A_mm - vals_k| over the rows A_m. of ``coupling``, whose
     diagonal entries A_mm are ``diag``.
 
-    Rows are taken _ROWS at a time, so no n x n temporary is made.
+    Rows are taken _ROWS at a time, so no n x n temporary is made.  An
+    estimate beyond the float range raises ``NumericError``.
     """
     est = np.zeros(vals.size)
-    for lo in range(0, len(coupling), _ROWS):
-        rows = coupling[lo : lo + _ROWS]
-        est += (rows * rows / np.abs(diag[lo : lo + _ROWS, None] - vals)).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, len(coupling), _ROWS):
+            rows = coupling[lo : lo + _ROWS]
+            est += (rows * rows / np.abs(diag[lo : lo + _ROWS, None] - vals)).sum(axis=0)
+    if not np.all(np.isfinite(est)):
+        raise NumericError("the truncation estimate of the spectrum overflows")
     return est
 
 

@@ -5,21 +5,29 @@ tau grid (``CoefficientSet.shifted``, the one place a shift is applied),
 solves the operators of the shifted set and accelerates the matching
 regularized trace sum S(tau) there.  On the set shifted by tau, the
 formula's right side (``traces.FORMULAS``) is affine in the target's value
-at tau, and its other terms do not depend on tau, except the known
-p''(tau)/2 of q.  So recovery reads the sweep alone: value(tau) =
-(S(tau) - grid mean of S) / slope, plus p''(tau)/2 for q, with the same
-mean at the wrap point tau = 1; a target of any mean is recovered less its
-mean.  The grid mean of a shift is its mean only while its tau-degree is
-below the grid size, so ``sweep`` refuses, before any solve, a coefficient
-that right side reads at tau of degree 2 * grid_size or more.
+at tau, and its other terms do not depend on tau, except known terms of
+p: p''(tau)/2 for q, and p''(tau)/2 + p(tau)^2 for Q.  So recovery reads
+the sweep alone: value(tau) = (S(tau) - grid mean of S) / slope, plus
+p''(tau)/2 for q and minus p''(tau)/2 + p(tau)^2 for Q, this one taken
+off before the mean, as p^2 has one; the wrap point tau = 1 uses the same
+mean, and a target of any mean is recovered less its mean.  The grid mean
+of a shift is its mean only while its tau-degree is below the grid size,
+so ``sweep`` refuses, before any solve, a coefficient that right side
+reads at tau of degree 2 * grid_size or more; p in a Q sweep is exempt, as
+its terms come off exactly before the mean.
+
+Q is read from IPQ, TRF3 of the h^2+Q spectrum nu alone, so a Q sweep
+solves no h.  The IP2 difference, TRF3 of nu less TRF3 of alpha^2, reads
+the same Q(tau) but solves h twice per grid point, and the rounding of its
+graded alpha^2 sums varies with tau, which no mean removes.
 
 The closed-form ``fourier`` tail is the default acceleration, as in the
-CLI.  Its model of the IPR1 and IP2 sums carries the 1/n^2 constant in
+CLI.  Its model of the IPR1 and IPQ sums carries the 1/n^2 constant in
 closed form, exact through its third-order part, where the perturbation
 series ends (``traces._tail_constant``).  At the default sizes, under
 p = cos(2 pi x), it recovers q = sin(2 pi x) on a 16-point grid to
-4.0e-5 and Q = sin(2 pi x) on a 4-point grid to 5.7e-5, against 8.1e-5
-and 1.1e-4 with ``richardson``, which needs no model.  q and Q are read
+4.0e-5 and Q = sin(2 pi x) on a 4-point grid to 3.0e-5, against 8.1e-5
+and 6.2e-5 with ``richardson``, which needs no model.  q and Q are read
 from H and h^2+Q spectra solved by the factored solve (see ``eigensolve``).
 """
 
@@ -52,11 +60,12 @@ __all__ = ["TARGETS", "SweepResult", "sweep", "target_kind",
            "recover_V", "recover_q", "recover_Q", "fit_trig"]
 
 # target: (formula, slope of its right side in the target's value at tau, the
-# coefficients it reads at tau); a kind's first target is the sweep's default.
+# coefficients it reads at tau, less the known terms of p that _invert takes
+# off before the grid mean); a kind's first target is the sweep's default.
 _TARGETS = {
     "q": (FormulaId.IPR1, -0.5, ("p", "q")),
     "V": (FormulaId.IPR1, -0.5, ("p", "q")),
-    "Q": (FormulaId.IP2, -0.5, ("Q",)),
+    "Q": (FormulaId.IPQ, -0.5, ("Q",)),
     "p_second_order": (FormulaId.GLF, 0.5, ("p",)),
 }
 TARGETS = tuple(_TARGETS)
@@ -174,10 +183,14 @@ def sweep(
 
 def _invert(sr: SweepResult, target: str) -> np.ndarray:
     """Fill ``sr.recovered`` and ``sr.recovered_wrap`` with ``target``'s values less their mean."""
+    taus, p = np.append(sr.taus, 1.0), sr.template.p
     vals = np.append(sr.accelerated, sr.wrap_accelerated) / _TARGETS[target][1]
+    if target == "Q":
+        # IPQ's V(tau) holds p''(tau)/2 + p(tau)^2 beside Q(tau); p^2 has a mean
+        vals = vals - p.derivative(2).scale(0.5).evaluate(taus) - p.evaluate(taus) ** 2
     vals -= np.mean(vals[:-1])
     if target == "q":
-        vals += sr.template.p.derivative(2).scale(0.5).evaluate(np.append(sr.taus, 1.0))
+        vals += p.derivative(2).scale(0.5).evaluate(taus)
     sr.recovered, sr.recovered_wrap = np.column_stack([sr.taus, vals[:-1]]), float(vals[-1])
     return sr.recovered
 

@@ -16,11 +16,14 @@ plus Q):
     COR1  sum(nu_n - Q0 - alpha_n^2)                    = -(Q(0)+Q(1)-2 Q0)/4
     IPR1  TRF3 for the tau-shifted family               = -(P-p0^2+2 V(tau))/4
     IP2   sum(nu_n(tau) - alpha_n(tau)^2 - Q0)          = -(Q(tau)-Q0)/2
+    IPQ   IPR1 read on nu, V of q_eff = p''+p^2+Q       = -(P-p0^2+2 V(tau))/4
 
 with q0 = int q, Q0 = int Q and V = q - q0 - p''/2: a q or Q of any mean
-is read, the q0 counterterm (below) taking the mean off.
+is read, the q0 counterterm (below) taking the mean off.  For IPQ,
+V(tau) = p''(tau)/2 + p(tau)^2 + Q(tau) less its mean, so the sum reads
+Q(tau) through a known function of p alone.
 
-The eight fourth-order identities are one: TRF3 of an effective q.
+The nine fourth-order identities are one: TRF3 of an effective q.
 Each role names the ``OperatorSpec`` whose spectrum it reads, and that
 spectrum is the one of H(p, q_eff), with q_eff the spec's
 ``fourth_order_q`` (see ``operators``):
@@ -36,9 +39,10 @@ for q (q0 = int q_eff shifts every eigenvalue by q0):
 
     S01 = TRF3(alpha)          TRF3, TRS, TRQ0, IPR1 = TRF3(mu)
     TR3 = TRF3(lam) - TRF3(mu) COR1, IP2 = TRF3(nu) - TRF3(alpha)
+    IPQ = TRF3(nu)
 
 so one summand, one right side and one ``fourier`` tail, -c_2n(V) + C/n^2
-per term with C a closed-form functional of p and V, serve all eight, in
+per term with C a closed-form functional of p and V, serve all nine, in
 every mode.  ``FORMULAS`` holds one entry per id: GLF with its own
 summand, right side and tail, and for the others only the signed roles,
 the tolerance and the hypotheses.
@@ -47,7 +51,7 @@ A circle shift is a property of the coefficients, f(x) -> f(x + tau),
 and is applied once, by ``CoefficientSet.shifted``: at a shift tau,
 ``verify`` reads the spectra, summand, tail and right side of the
 shifted set, and a right side stated at x = 0, 1 is read at tau, as in
-IPR1 and IP2.
+IPR1, IP2 and IPQ.
 
 Counterterms are evaluated in the expanded form
 mu_n - (pi n)^4 + 2 p0 (pi n)^2 - p0^2 to limit cancellation.  The
@@ -140,6 +144,7 @@ class FormulaId(str, Enum):
     COR1 = "COR1"
     IPR1 = "IPR1"
     IP2 = "IP2"
+    IPQ = "IPQ"
 
 
 @dataclass(frozen=True)
@@ -360,10 +365,11 @@ class _SecondOrder(Formula):
 
 # Tolerances at the default sizes (N=256, K=64).  1e-2 for S01, TRF3, TRQ0
 # and IPR1, sized when their tail model left out the third-order part of
-# the 1/n^2 constant.  With that part in, the worst |gap|/tol over 12 seeded
-# inputs of amplitude 2 (seed 7, degree 2-4) is 0.0075 (S01), 0.026 (TRF3,
-# TRQ0) and 0.43 (IPR1, periodic degree 4-8), against 0.48-0.83 without
-# it; on the +-2 degree 4-6 family of the third-order test it is 0.11
+# the 1/n^2 constant, and for IPQ, one TRF3 sum like them.  With that part
+# in, the worst |gap|/tol over 12 seeded inputs of amplitude 2 (seed 7,
+# degree 2-4) is 0.0075 (S01), 0.026 (TRF3, TRQ0) and 0.0037 (IPQ, periodic),
+# and 0.43 (IPR1) and 0.035 (IPQ) at periodic degree 4-8, against 0.48-0.83
+# without it; on the +-2 degree 4-6 family of the third-order test it is 0.11
 # (S01) and 0.46 (TRF3), against 4.4 and 4.2.  1e-3 where less was left
 # (GLF; TRS, whose constant p has no 1/n^2 term; and TR3, COR1 and IP2,
 # differences of two TRF3 sums over the same p, whose cubic parts cancel:
@@ -378,6 +384,7 @@ FORMULAS = {
     FormulaId.COR1: Formula((("nu", 1), ("alpha", -1)), 1e-3),
     FormulaId.IPR1: Formula((("mu", 1),), 1e-2, (("p", "periodic"), ("q", "periodic"))),
     FormulaId.IP2: Formula((("nu", 1), ("alpha", -1)), 1e-3, (("Q", "periodic"),)),
+    FormulaId.IPQ: Formula((("nu", 1),), 1e-2, (("Q", "periodic"),)),
 }
 
 DEFAULT_TOLERANCES = {formula: entry.tol for formula, entry in FORMULAS.items()}

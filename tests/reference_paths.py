@@ -18,12 +18,12 @@ can hold the library to the same outputs bit for bit:
   n = 128 and 256; it holds the second-order part of the closed form
   ``traces._tail_constant``, which adds the third-order part;
 - ``hand_recover_V``, ``hand_recover_q``, ``hand_recover_Q``: the
-  recoveries with the IPR1, IP2 and GLF right sides written out by hand,
+  recoveries with the IPR1, IPQ and GLF right sides written out by hand,
 
-      V(tau) = -2 S(tau) - (P - p0^2)/2        (fourth-order family)
-      q(tau) = V(tau) + p''(tau)/2             (known p)
-      Q(tau) = -2 S(tau)                       (squared family)
-      p(tau) = +2 S(tau)                       (second-order family, p0 = 0)
+      V(tau) = -2 S(tau) - (P - p0^2)/2                (fourth-order family)
+      q(tau) = V(tau) + p''(tau)/2                     (known p)
+      Q(tau) = -2 S(tau) - p''(tau)/2 - p(tau)^2       (squared family, known p)
+      p(tau) = +2 S(tau)                               (second-order family, p0 = 0)
 
   each returning (values on the grid, value at the wrap point tau = 1).
 """
@@ -212,8 +212,13 @@ def hand_recover_q(sr):
 
 
 def hand_recover_Q(sr):
-    sign = -2.0 if sr.target == "Q" else 2.0
-    return sign * sr.accelerated, float(sign * sr.wrap_accelerated)
+    sums = np.append(sr.accelerated, sr.wrap_accelerated)
+    if sr.target == "p_second_order":
+        vals = 2.0 * sums
+    else:
+        p, taus = sr.template.p, np.append(sr.taus, 1.0)
+        vals = -2.0 * sums - p.derivative(2).scale(0.5).evaluate(taus) - p.evaluate(taus) ** 2
+    return vals[:-1], float(vals[-1])
 
 
 def lstsq_fit_trig(taus, values, max_harmonic):

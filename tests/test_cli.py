@@ -165,7 +165,8 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, cos2, argv):
 
 
 # every amplitude is finite, but p^2 (P, and the sigma of the factored
-# solve) of p = 1e200 cos 2 pi x is not, nor the mean of p = 1e308 sin pi x
+# solve) of p = 1e200 cos 2 pi x is not, nor the squared entries of its h
+# in the truncation estimate, nor the mean of p = 1e308 sin pi x
 BIG_COS = {"u": (0, 0, 1e200)}
 BIG_SIN = {"w": (1e308,)}
 
@@ -180,9 +181,10 @@ BIG_SIN = {"w": (1e308,)}
         (["spectrum", "--kind", "h", "-N", "16"], BIG_SIN),
         (["trace", "--formula", "GLF"], BIG_SIN),
         (["trace", "--formula", "TRF3", "-N", "32", "-K", "8"], BIG_SIN),
+        (["spectrum", "--kind", "h", "-N", "16"], BIG_COS),
     ],
     ids=["trace-TRF3", "trace-GLF", "asym", "spectrum-H", "mean-spectrum-h", "mean-trace-GLF",
-         "mean-trace-TRF3"],
+         "mean-trace-TRF3", "truncation-spectrum-h"],
 )
 def test_overflow_of_a_derived_value_exits_1_with_message(tmp_path, capsys, argv, amplitudes):
     big = write_coeff(tmp_path, "big.json", **amplitudes)

@@ -326,7 +326,7 @@ def test_rate_fit_needs_three_points():
 # -- verify and the public functions ----------------------------------------------------
 
 MODES = ("fourier", "richardson", "none")
-SHIFTED = (FormulaId.IPR1, FormulaId.IP2)
+SHIFTED = (FormulaId.IPR1, FormulaId.IP2, FormulaId.IPQ)
 
 
 def outcome(call):

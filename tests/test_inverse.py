@@ -6,7 +6,7 @@ from hypothesis import assume, given
 
 from conftest import coefficients, shifted_spec
 from reference_paths import hand_recover_Q, hand_recover_V, hand_recover_q, lstsq_fit_trig
-from sinespec import eigensolve
+from sinespec import eigensolve, traces
 from sinespec import (
     Coefficient,
     KIND_FOURTH_ORDER,
@@ -65,7 +65,7 @@ def test_sweep_rejects_small_grid_and_bad_inputs():
 
 
 def test_sweep_refuses_a_non_periodic_coefficient_by_name_before_any_solve(monkeypatch):
-    # IP2 places no hypothesis on p, so the shift itself refuses it
+    # IPQ places no hypothesis on p, so the shift itself refuses it
     calls = []
     real = eigensolve.assemble_spec
     monkeypatch.setattr(eigensolve, "assemble_spec",
@@ -217,10 +217,50 @@ def test_seeded_recovery_accuracy(t):
         assert _recovery_error(sr, recover_Q, f) < 1e-8
 
 
+def _conftest_draw(rng, zero_mean):
+    """A periodic coefficient by the rules of ``conftest.coefficients``:
+    amplitudes in U(-2, 2), odd harmonics zero; degree 2..4, so that it is
+    not constant."""
+    deg = int(rng.integers(2, 5))
+    u, w = rng.uniform(-2.0, 2.0, deg + 1), rng.uniform(-2.0, 2.0, deg)
+    u[1::2], w[0::2] = 0.0, 0.0
+    if zero_mean:
+        u[0] = 0.0
+    return Coefficient(u=tuple(u), w=tuple(w))
+
+
+@pytest.mark.parametrize("t", range(6))
+def test_seeded_Q_recovery_accuracy(t):
+    # read from the h^2+Q sums alone, worst 2.9e-5 (fourier) and 6.0e-5
+    # (richardson) over these templates, against 1.1e-4 and 2.2e-4 when the
+    # h sums were subtracted
+    rng = np.random.default_rng(200 + t)
+    p, f = _conftest_draw(rng, False), _conftest_draw(rng, True)
+    for mode, bound in (("richardson", 1e-4), ("fourier", 5e-5)):
+        sr = sweep(OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=f), 4, mode=mode)
+        assert _recovery_error(sr, recover_Q, f) < bound
+
+
+def test_Q_sweep_solves_no_second_order_spectrum(monkeypatch):
+    kinds = []
+    real = traces.spectrum
+    monkeypatch.setattr(traces, "spectrum",
+                        lambda spec, n: kinds.append(spec.kind) or real(spec, n))
+    sr = sweep(OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2), 4, n=64, k=16, target="Q")
+    # one h^2+Q spectrum per grid point and one at the wrap point
+    assert kinds == [KIND_SQUARE_PLUS_Q] * 5
+    assert [list(specs) for specs in sr.spectra] == [["nu"]] * 4
+
+
 def test_wrap_gap_small():
     res = sweep(OperatorSpec(KIND_FOURTH_ORDER, q=SIN2), 4, n=64, k=24, target="V")
     recover_V(res)
     assert res.wrap_gap() < 1e-4
+    # the reference Q sweep at the default sizes: 1.1e-5 from the h^2+Q sums
+    # alone, 6.9e-5 when the h sums were subtracted
+    res = sweep(OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2), 4, target="Q")
+    recover_Q(res)
+    assert res.wrap_gap() < 3e-5
 
 
 def test_recovered_mean_consistency():
@@ -324,7 +364,7 @@ def test_recovery_matches_hand_inversions(p, f):
     "template, target, formula",
     [
         (OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2), "q", FormulaId.IPR1),
-        (OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2), "Q", FormulaId.IP2),
+        (OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2), "Q", FormulaId.IPQ),
     ],
 )
 def test_sweep_accelerated_equals_verify(template, target, formula):

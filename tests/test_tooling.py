@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from sinespec.cli import build_parser
+from sinespec.traces import FormulaId
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,6 +55,18 @@ def test_readme_option_table_matches_the_parser():
         for name, sub in subparsers.choices.items()
     }
     assert readme_option_table() == parsed
+
+
+def readme_formula_ids():
+    """The id of each row of the README "Formula ids" table, in order."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("### Formula ids", 1)[1].split("\n\n")[1]
+    ids = [line.strip("|").split("|")[0].strip() for line in table.splitlines()]
+    return [i for i in ids if i != "id" and not i.startswith("-")]
+
+
+def test_readme_formula_table_has_a_row_per_formula_id():
+    assert readme_formula_ids() == [f.value for f in FormulaId]
 
 
 def run_script(name, *args, cwd=None):

@@ -397,6 +397,7 @@ READS = {
     FormulaId.COR1: "pQ",
     FormulaId.IPR1: "pq",
     FormulaId.IP2: "pQ",
+    FormulaId.IPQ: "pQ",
 }
 
 
@@ -726,6 +727,16 @@ def test_ip2_fourier_gap_within_tolerance(p, Q, tau):
     assert _fourier_gap_ratio(FormulaId.IP2, CoefficientSet(p=p, Q=Q), tau) <= 1.0
 
 
+@given(
+    coefficients(periodic=True),
+    coefficients(periodic=True).map(_zero_mean),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+@settings(max_examples=8)
+def test_ipq_fourier_gap_within_tolerance(p, Q, tau):
+    assert _fourier_gap_ratio(FormulaId.IPQ, CoefficientSet(p=p, Q=Q), tau) <= 1.0
+
+
 @given(coefficients(max_degree=4).map(lambda f: Coefficient(u=(0.0,) + f.u[1:])))
 def test_dikii_trfd1_never_neither_on_cosine_p(p):
     # the S01 fourier sum on zero-mean cosine p, amplitudes up to 2
@@ -770,6 +781,10 @@ def test_shifted_right_sides_match_their_closed_forms(p, q, tau):
     v_tau = build_V(p, q).evaluate(tau)
     assert _close(rhs(FormulaId.IPR1, CoefficientSet(p=p, q=q).shifted(tau)), -(P - p0 * p0) / 4.0, -v_tau / 2.0)
     assert _close(rhs(FormulaId.IP2, CoefficientSet(p=p, Q=q).shifted(tau)), -q.evaluate(tau) / 2.0)
+    # IPQ (q in the role of Q): IPR1's form with V = p''/2 + p^2 + Q less its mean
+    v_tau = p.derivative(2).evaluate(tau) / 2.0 + p.evaluate(tau) ** 2 - (p * p).functionals().mean
+    assert _close(rhs(FormulaId.IPQ, CoefficientSet(p=p, Q=q).shifted(tau)),
+                  -(P - p0 * p0) / 4.0, -v_tau / 2.0, -q.evaluate(tau) / 2.0)
 
 
 def test_asym_reports_the_signed_derived_constant(tmp_path):
