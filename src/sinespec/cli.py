@@ -22,7 +22,7 @@ import numpy as np
 from .coeffs import ZERO, Coefficient
 from .errors import CoefficientFileError, NumericError, PreconditionError
 from .eigensolve import spectrum
-from .inverse import recover_Q, recover_V, recover_q, sweep, target_kind
+from .inverse import recover_Q, recover_V, recover_q, sweep
 from .operators import (
     KIND_FOURTH_ORDER,
     KIND_SECOND_ORDER,
@@ -230,19 +230,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.full_spectra and not (args.out and args.format == "json"):
         raise PreconditionError("--full-spectra is written only to a JSON report: "
                                 "give --format json and --out")
-    target = {"V": "V", "q": "q", "Q": "Q", "p2": "p_second_order"}[args.recover]
-    template = _operator_spec(args, target_kind(target))
-    result = sweep(
-        template, args.grid, n=args.n_basis, k=args.k_trunc, mode=args.mode, target=target
-    )
-    if target == "q":
-        recover_q(result)
-    elif target == "V":
-        recover_V(result)
-    else:
-        recover_Q(result)
+    # --recover: the operator kind swept, the recovery and the printed target
+    kind, recover, target = {
+        "V": (KIND_FOURTH_ORDER, recover_V, "V"),
+        "q": (KIND_FOURTH_ORDER, recover_q, "q"),
+        "Q": (KIND_SQUARE_PLUS_Q, recover_Q, "Q"),
+        "p2": (KIND_SECOND_ORDER, recover_Q, "p_second_order"),
+    }[args.recover]
+    result = sweep(_operator_spec(args, kind), args.grid, n=args.n_basis, k=args.k_trunc,
+                   mode=args.mode)
+    recover(result)
     payload = {
-        "target": result.target,
+        "target": target,
         "mode": result.mode,
         "basis_n": result.basis_n,
         "k_trunc": result.k_trunc,
@@ -266,7 +265,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = zip(payload["taus"], payload["recovered"], payload["accelerated"], payload["n_trusted"])
     _write_report(args, payload, ["tau", "recovered_value", "accelerated_sum", "n_trusted"], rows)
     print(
-        f"sweep target={result.target} grid={len(result.taus)} n0={result.n0} "
+        f"sweep target={target} grid={len(result.taus)} n0={result.n0} "
         f"wrap_gap={_fmt(result.wrap_gap())}"
     )
     return EXIT_OK

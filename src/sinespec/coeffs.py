@@ -44,6 +44,12 @@ __all__ = [
 
 
 def _trimmed(values, keep_one=False):
+    # text iterates as characters or byte values, and a bool reads as 0 or 1:
+    # neither is a finite real
+    text_or_bool = frozenset((str, bytes, bytearray, bool, np.str_, np.bytes_, np.bool_))
+    values = (math.nan,) if isinstance(values, (str, bytes, bytearray)) else tuple(values)
+    if not text_or_bool.isdisjoint(map(type, values)):
+        values = (math.nan,)
     try:
         vals = [float(v) for v in values]
     except OverflowError:

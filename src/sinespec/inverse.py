@@ -1,20 +1,24 @@
 """Circle-shift sweeps and recovery of coefficient functions from spectra.
 
-A sweep shifts the template's coefficients to each point of a uniform
-tau grid (``CoefficientSet.shifted``, the one place a shift is applied),
-solves the operators of the shifted set and accelerates the matching
-regularized trace sum S(tau) there.  On the set shifted by tau, the
-formula's right side (``traces.FORMULAS``) is affine in the target's value
-at tau, and its other terms do not depend on tau, except known terms of
-p: p''(tau)/2 for q, and p''(tau)/2 + p(tau)^2 for Q.  So recovery reads
-the sweep alone: value(tau) = (S(tau) - grid mean of S) / slope, plus
-p''(tau)/2 for q and minus p''(tau)/2 + p(tau)^2 for Q, this one taken
-off before the mean, as p^2 has one; the wrap point tau = 1 uses the same
-mean, and a target of any mean is recovered less its mean.  The grid mean
-of a shift is its mean only while its tau-degree is below the grid size,
-so ``sweep`` refuses, before any solve, a coefficient that right side
-reads at tau of degree 2 * grid_size or more; p in a Q sweep is exempt, as
-its terms come off exactly before the mean.
+A sweep shifts the template's coefficients to each point of a uniform tau
+grid and to the wrap point tau = 1 (``CoefficientSet.shifted``, the one
+place a shift is applied), and evaluates the regularized trace sum S(tau)
+of the shifted set there as ``traces.verify`` does at one shift: one guard
+(``traces.checked``) and one evaluation per point (``traces.evaluate``).
+The template's operator kind names the formula: IPR1 for H, IPQ for h^2+Q
+and GLF for h.  One H sweep serves ``recover_V`` and ``recover_q``;
+``recover_Q`` reads an h^2+Q or an h sweep.  On the set shifted by tau,
+the formula's right side (``traces.FORMULAS``) is affine in the target's
+value at tau, and its other terms do not depend on tau, except known terms
+of p: p''(tau)/2 for q, and p''(tau)/2 + p(tau)^2 for Q.  So recovery
+reads the sweep alone: value(tau) = (S(tau) - grid mean of S) / slope,
+plus p''(tau)/2 for q and minus p''(tau)/2 + p(tau)^2 for Q, this one
+taken off before the mean, as p^2 has one; the wrap point tau = 1 uses the
+same mean, and a target of any mean is recovered less its mean.  The grid
+mean of a shift is its mean only while its tau-degree is below the grid
+size, so ``sweep`` refuses, before any solve, a coefficient that right
+side reads at tau of degree 2 * grid_size or more; p in a Q sweep is
+exempt, as its terms come off exactly before the mean.
 
 Q is read from IPQ, TRF3 of the h^2+Q spectrum nu alone, so a Q sweep
 solves no h.  The IP2 difference, TRF3 of nu less TRF3 of alpha^2, reads
@@ -39,41 +43,27 @@ import numpy as np
 
 from .coeffs import Coefficient
 from .errors import PreconditionError, check_integer
-from .operators import KIND_SECOND_ORDER, OperatorSpec
+from .operators import KIND_FOURTH_ORDER, KIND_SECOND_ORDER, KIND_SQUARE_PLUS_Q, OperatorSpec
 from .traces import (
     DEFAULT_K,
     DEFAULT_N,
-    FORMULAS,
-    ROLES,
     CoefficientSet,
     FormulaId,
-    check_acceleration,
-    check_basis_size,
-    check_preconditions,
+    checked,
+    evaluate,
     localization,
-    partial_sums,
-    spectra_for,
-    tail_accelerate,
 )
 
-__all__ = ["TARGETS", "SweepResult", "sweep", "target_kind",
-           "recover_V", "recover_q", "recover_Q", "fit_trig"]
+__all__ = ["SweepResult", "sweep", "recover_V", "recover_q", "recover_Q", "fit_trig"]
 
-# target: (formula, slope of its right side in the target's value at tau, the
-# coefficients it reads at tau, less the known terms of p that _invert takes
-# off before the grid mean); a kind's first target is the sweep's default.
-_TARGETS = {
-    "q": (FormulaId.IPR1, -0.5, ("p", "q")),
-    "V": (FormulaId.IPR1, -0.5, ("p", "q")),
-    "Q": (FormulaId.IPQ, -0.5, ("Q",)),
-    "p_second_order": (FormulaId.GLF, 0.5, ("p",)),
+# operator kind: (formula, slope of its right side in the value it reads at
+# tau, the coefficients it reads at tau, less the known terms of p that
+# _invert takes off before the grid mean)
+_SWEEPS = {
+    KIND_FOURTH_ORDER: (FormulaId.IPR1, -0.5, ("p", "q")),
+    KIND_SQUARE_PLUS_Q: (FormulaId.IPQ, -0.5, ("Q",)),
+    KIND_SECOND_ORDER: (FormulaId.GLF, 0.5, ("p",)),
 }
-TARGETS = tuple(_TARGETS)
-
-
-def target_kind(target: str) -> str:
-    """Operator kind a sweep for ``target`` solves: that of its formula's first role."""
-    return ROLES[FORMULAS[_TARGETS[target][0]].roles[0]][0]
 
 
 @dataclass
@@ -87,7 +77,6 @@ class SweepResult:
     (tau, value) rows.
     """
 
-    target: str
     template: OperatorSpec
     taus: np.ndarray
     spectra: list
@@ -109,111 +98,85 @@ class SweepResult:
         return float(abs(self.recovered_wrap - self.recovered[0, 1]))
 
 
-def _accelerated_at(formula, coeffs, n, k, mode):
-    # the public functions, on the cores verify runs: a few lookups per
-    # grid point against its solves, and the names a sweep is timed by
-    spectra = spectra_for(formula, coeffs, n)
-    parts = partial_sums(formula, spectra, coeffs, k)
-    return spectra, tail_accelerate(formula, parts, coeffs, k, mode)
-
-
-def sweep(
-    template: OperatorSpec,
-    grid_size: int,
-    n: int = DEFAULT_N,
-    k: int = DEFAULT_K,
-    mode: str = "fourier",
-    target: str | None = None,
-) -> SweepResult:
-    """Solve the shifted family on a uniform grid of tau in [0, 1)."""
+def sweep(template: OperatorSpec, grid_size: int, n: int = DEFAULT_N, k: int = DEFAULT_K,
+          mode: str = "fourier") -> SweepResult:
+    """Solve the shifted family on a uniform grid of tau in [0, 1), and
+    at the wrap point tau = 1, through the formula of the template's kind."""
     check_integer("sweep grid size", grid_size)
     if grid_size < 4:
         raise PreconditionError("sweep grid must have at least 4 points")
-    check_basis_size(n, k)
-    if target is None:
-        target = next(t for t in _TARGETS if target_kind(t) == template.kind)
-    if target not in TARGETS:
-        raise ValueError(f"unknown sweep target {target!r}")
-    if template.kind != target_kind(target):
-        raise PreconditionError(
-            f"target {target!r} needs operator kind {target_kind(target)!r}"
-        )
-    formula, _, names = _TARGETS[target]
+    formula, _, names = _SWEEPS[template.kind]
     coeffs = CoefficientSet(p=template.p, q=template.q, Q=template.Q)
-    check_preconditions(formula, coeffs)
+    entry = checked(formula, coeffs, n, k, mode)
     for name in names:
         if getattr(coeffs, name).degree >= 2 * grid_size:
-            raise PreconditionError(f"recovering {target} on a {grid_size}-point grid "
-                                    f"requires {name} of degree below {2 * grid_size}")
-    check_acceleration(k, mode)
+            raise PreconditionError(f"recovery from {formula.value} sums on a {grid_size}-point "
+                                    f"grid requires {name} of degree below {2 * grid_size}")
 
     taus = np.arange(grid_size, dtype=float) / grid_size
     # the coefficients at each grid point and at the wrap point tau = 1,
     # shifted before any solve, so that a non-periodic one is refused first
-    *points, wrap = [coeffs.shifted(tau) for tau in [*taus.tolist(), 1.0]]
-    spectra_list = []
-    acc, trust = np.empty(grid_size), np.empty(grid_size, dtype=int)
-    primary = FORMULAS[formula].roles[0]
-    for i, shifted in enumerate(points):
-        spectra, acc[i] = _accelerated_at(formula, shifted, n, k, mode)
-        spectra_list.append(spectra)
-        trust[i] = min(s.n_trusted for s in spectra.values())
+    points = [coeffs.shifted(tau) for tau in [*taus.tolist(), 1.0]]
+    runs = [evaluate(entry, entry.read(shifted), n, k, mode) for shifted in points]
+    spectra_list = [spectra for spectra, _, _ in runs[:-1]]
+    acc = np.array([accelerated for _, _, accelerated in runs])
+    trust = np.array([min(s.n_trusted for s in specs.values()) for specs in spectra_list])
     # one branch count for the whole grid so the tracked sum is comparable
+    primary = entry.roles[0]
     if template.kind == KIND_SECOND_ORDER:
         n0 = 1
     else:
         n0 = max(1, localization(spectra_list[0][primary]).n0)
     sum_branch = np.array([specs[primary].vals[:n0].sum() for specs in spectra_list])
-    _, wrap_acc = _accelerated_at(formula, wrap, n, k, mode)
     return SweepResult(
-        target=target,
         template=template,
         taus=taus,
         spectra=spectra_list,
-        accelerated=acc,
+        accelerated=acc[:-1],
         n_trusted=trust,
         sum_branch=sum_branch,
         n0=n0,
         basis_n=n,
         k_trunc=k,
         mode=mode,
-        wrap_accelerated=wrap_acc,
+        wrap_accelerated=float(acc[-1]),
     )
 
 
-def _invert(sr: SweepResult, target: str) -> np.ndarray:
-    """Fill ``sr.recovered`` and ``sr.recovered_wrap`` with ``target``'s values less their mean."""
+def _invert(sr: SweepResult, caller: str, kinds: tuple, q: bool = False) -> np.ndarray:
+    """Fill ``sr.recovered`` and ``sr.recovered_wrap`` with the values the
+    sweep's formula reads at tau less their mean, or with q's for ``q``."""
+    kind = sr.template.kind
+    if kind not in kinds:
+        raise PreconditionError(f"{caller} needs a sweep of operator kind "
+                                + " or ".join(map(repr, kinds)))
     taus, p = np.append(sr.taus, 1.0), sr.template.p
-    vals = np.append(sr.accelerated, sr.wrap_accelerated) / _TARGETS[target][1]
-    if target == "Q":
+    vals = np.append(sr.accelerated, sr.wrap_accelerated) / _SWEEPS[kind][1]
+    if kind == KIND_SQUARE_PLUS_Q:
         # IPQ's V(tau) holds p''(tau)/2 + p(tau)^2 beside Q(tau); p^2 has a mean
         vals = vals - p.derivative(2).scale(0.5).evaluate(taus) - p.evaluate(taus) ** 2
     vals -= np.mean(vals[:-1])
-    if target == "q":
+    if q:
         vals += p.derivative(2).scale(0.5).evaluate(taus)
     sr.recovered, sr.recovered_wrap = np.column_stack([sr.taus, vals[:-1]]), float(vals[-1])
     return sr.recovered
 
 
 def recover_V(sr: SweepResult) -> np.ndarray:
-    """Pointwise V(tau) = q(tau) - p''(tau)/2 less its mean, from the sums alone."""
-    if sr.target not in ("V", "q"):
-        raise PreconditionError("recover_V needs a sweep with target 'V' or 'q'")
-    return _invert(sr, "V")
+    """Pointwise V(tau) = q(tau) - p''(tau)/2 less its mean, from the sums
+    of an H sweep alone."""
+    return _invert(sr, "recover_V", (KIND_FOURTH_ORDER,))
 
 
 def recover_q(sr: SweepResult) -> np.ndarray:
-    """Pointwise q(tau) less its mean: V's values plus p''(tau)/2 of the template's p."""
-    if sr.target not in ("V", "q"):
-        raise PreconditionError("recover_q needs a sweep with target 'V' or 'q'")
-    return _invert(sr, "q")
+    """Pointwise q(tau) less its mean, from an H sweep: V's values plus
+    p''(tau)/2 of the template's p."""
+    return _invert(sr, "recover_q", (KIND_FOURTH_ORDER,), q=True)
 
 
 def recover_Q(sr: SweepResult) -> np.ndarray:
-    """Pointwise Q(tau), or p(tau) for a second-order sweep, less its mean."""
-    if sr.target not in ("Q", "p_second_order"):
-        raise PreconditionError("recover_Q needs target 'Q' or 'p_second_order'")
-    return _invert(sr, sr.target)
+    """Pointwise Q(tau) of an h^2+Q sweep, or p(tau) of an h sweep, less its mean."""
+    return _invert(sr, "recover_Q", (KIND_SQUARE_PLUS_Q, KIND_SECOND_ORDER))
 
 
 def fit_trig(values, max_harmonic: int) -> Coefficient:
@@ -225,6 +188,9 @@ def fit_trig(values, max_harmonic: int) -> Coefficient:
     squares is the truncated DFT F = rfft(values): u_0 = Re F_0 / G,
     u_2m = 2 Re F_m / G and w_2m-1 = -2 Im F_m / G.
     """
+    check_integer("harmonic count", max_harmonic)
+    if max_harmonic < 0:
+        raise ValueError(f"harmonic count {max_harmonic} must be nonnegative")
     values = np.asarray(values, dtype=float)
     if values.size < 2 * max_harmonic + 1:
         raise ValueError("not enough samples for the requested harmonic count")

@@ -70,17 +70,18 @@ role's spec, q_eff and V once; ``check_preconditions`` keeps only the
 inputs that pass, so a refusal is raised on every call;
 ``CoefficientSet.shifted``, ``CoefficientSet.digest`` and the ``fourier``
 tail pieces are memoized too.  A set, like a coefficient and a spec,
-hashes once, when it is built.  ``verify`` converts the formula id and
-checks once, then reads everything from one ``Formula.read`` of the
-shifted set through private cores (spectra, partial sums, acceleration);
-``spectra_for``, ``partial_sums``, ``tail_accelerate`` and ``rhs`` make
-their own checks and run the same cores.  A warm ``verify`` on one of the
-26 panel rows (``scripts/run_trace_suite.py`` in ``fourier`` and
-``richardson``, N = 256, K = 64) takes 18-43 us, median 25-29 us, on a
-2-vCPU Intel Xeon with one BLAS thread, against a median of 31-35 us when
-it went through the public functions; what is left is mostly the rate
-fit and the report.  The rate exponent is the closed-form
-least-squares slope of log |S_n - S| against log n.
+hashes once, when it is built.  ``verify`` and a sweep
+(``inverse.sweep``) share one guard and one evaluation: ``checked``
+converts the formula id and checks the sizes, hypotheses and
+acceleration once, and ``evaluate`` takes the spectra, partial sums and
+accelerated sum from one ``Formula.read`` of a shifted set, through
+private cores; ``spectra_for``, ``partial_sums``, ``tail_accelerate`` and
+``rhs`` make their own checks and run the same cores.  A warm ``verify``
+on one of the 26 panel rows (``scripts/run_trace_suite.py`` in
+``fourier`` and ``richardson``, N = 256, K = 64) takes 18-43 us, median
+25-29 us, on a 2-vCPU Intel Xeon with one BLAS thread; what is left is
+mostly the rate fit and the report.  The rate exponent is the
+closed-form least-squares slope of log |S_n - S| against log n.
 """
 
 from __future__ import annotations
@@ -432,9 +433,19 @@ def check_acceleration(k: int, mode: str) -> None:
         raise ValueError(f"unknown acceleration mode {mode!r}")
 
 
-# The cores of verify and of the public functions below: each takes the
-# formula's entry and its reading of the coefficients and checks no
-# hypothesis; its caller converts the formula id, checks and reads.
+def checked(formula: FormulaId, coeffs: CoefficientSet, n: int, k: int, mode: str) -> Formula:
+    """The entry of ``formula`` (an id or its value) once the sizes, the
+    hypotheses on ``coeffs`` and the acceleration pass: the guard of
+    ``verify`` and of a sweep."""
+    check_basis_size(n, k)
+    check_preconditions(formula, coeffs)
+    check_acceleration(k, mode)
+    return FORMULAS[formula]
+
+
+# The cores of verify, of a sweep and of the public functions below: each
+# takes the formula's entry and its reading of the coefficients and checks
+# no hypothesis; its caller converts the formula id, checks and reads.
 
 
 def _spectra(r: _Reading, n: int) -> dict:
@@ -463,6 +474,13 @@ def _accelerate(entry: Formula, r: _Reading, partial: np.ndarray, k: int, mode: 
     return entry.tail(s_k, r, k)
 
 
+def evaluate(entry: Formula, r: _Reading, n: int, k: int, mode: str):
+    """The spectra, partial sums and accelerated sum of one reading."""
+    spectra = _spectra(r, n)
+    parts = _partial_sums(entry, r, spectra, k)
+    return spectra, parts, _accelerate(entry, r, parts, k, mode)
+
+
 def spectra_for(formula: FormulaId, coeffs: CoefficientSet, n: int):
     """Compute the spectra the formula's summand reads, keyed by role."""
     return _spectra(FORMULAS[FormulaId(formula)].read(coeffs), n)
@@ -477,6 +495,7 @@ def summand(formula: FormulaId, n: int, spectra, coeffs: CoefficientSet) -> floa
     """The n-th regularized summand of the chosen formula (1-based n)."""
     formula = FormulaId(formula)
     check_preconditions(formula, coeffs)
+    check_integer("summand index", n)
     if n < 1:
         raise PreconditionError("summand index must be positive")
     for spec in spectra.values():
@@ -488,6 +507,7 @@ def partial_sums(formula: FormulaId, spectra, coeffs: CoefficientSet, k: int) ->
     """Prefix sums S_1..S_k of the regularized summands."""
     formula = FormulaId(formula)
     check_preconditions(formula, coeffs)
+    check_integer("truncation K", k)
     entry = FORMULAS[formula]
     return _partial_sums(entry, entry.read(coeffs), spectra, k)
 
@@ -520,6 +540,7 @@ def tail_accelerate(
     returns S_k + C z(k).  ``none`` returns S_k.
     """
     formula = FormulaId(formula)
+    check_integer("truncation K", k)
     check_acceleration(k, mode)
     partial = np.asarray(partial, dtype=float)
     if partial.size < k:
@@ -577,15 +598,10 @@ def verify(
     whose eigenvalues differ by exactly the mean.
     """
     formula = FormulaId(formula)
-    check_basis_size(n, k)
-    check_preconditions(formula, coeffs)
-    check_acceleration(k, mode)
+    entry = checked(formula, coeffs, n, k, mode)
     digest = coeffs.digest() + f" tau={tau:g}"
-    entry = FORMULAS[formula]
     reading = entry.read(coeffs.shifted(tau))
-    spectra = _spectra(reading, n)
-    parts = _partial_sums(entry, reading, spectra, k)
-    accelerated = _accelerate(entry, reading, parts, k, mode)
+    _, parts, accelerated = evaluate(entry, reading, n, k, mode)
     return TraceReport(
         formula=formula,
         k_used=k,

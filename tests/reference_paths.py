@@ -213,7 +213,7 @@ def hand_recover_q(sr):
 
 def hand_recover_Q(sr):
     sums = np.append(sr.accelerated, sr.wrap_accelerated)
-    if sr.target == "p_second_order":
+    if sr.template.kind == KIND_SECOND_ORDER:
         vals = 2.0 * sums
     else:
         p, taus = sr.template.p, np.append(sr.taus, 1.0)

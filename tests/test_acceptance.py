@@ -195,7 +195,7 @@ def test_criterion_11_inverse_round_trip():
     sup_q = float(np.max(np.abs(rec[:, 1] - np.sin(2 * PI * res.taus))))
     res2 = sweep(
         OperatorSpec(KIND_SECOND_ORDER, p=COS2), 16, n=256, k=64,
-        mode="richardson", target="p_second_order",
+        mode="richardson",
     )
     rec2 = recover_Q(res2)
     sup_p = float(np.max(np.abs(rec2[:, 1] - np.cos(2 * PI * res2.taus))))

@@ -342,6 +342,20 @@ def test_sweep_grid_16_row_count(tmp_path, cos2):
     assert len(out_path.read_text().strip().splitlines()) == 17
 
 
+def test_sweep_recover_V_and_q_write_the_same_sums(tmp_path, cos2):
+    # both read one H sweep: only the recovered column differs
+    sin2 = write_coeff(tmp_path, "sin2.json", u=(0.0,), w=(0.0, 1.0))
+    columns = {}
+    for target in ("V", "q"):
+        out_path = tmp_path / f"{target}.csv"
+        assert main(["sweep", "--recover", target, "--p", cos2, "--q", sin2, "--grid", "4",
+                     "-N", "64", "-K", "16", "--out", str(out_path)]) == 0
+        rows = [row.split(",") for row in out_path.read_text().strip().splitlines()]
+        columns[target] = [row[2] for row in rows]
+    assert columns["V"][0] == "accelerated_sum" and len(columns["V"]) == 5
+    assert columns["V"] == columns["q"]
+
+
 def test_sweep_json_with_spectra(tmp_path, cos2):
     out_path = tmp_path / "sweep.json"
     code = main(

@@ -44,6 +44,19 @@ def test_amplitudes_must_be_finite_reals(amp):
             Coefficient(**fields)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Coefficient.from_dict({"u": "12"}),
+     lambda: Coefficient(w=b"\x01\x02"),
+     lambda: Coefficient(u=(True, False, True))],
+    ids=["str", "bytes", "bool"],
+)
+def test_text_and_bool_amplitudes_are_refused(build):
+    # as the CLI refuses them in files: not read as digits, bytes or 0/1
+    with pytest.raises(ValueError, match="finite reals"):
+        build()
+
+
 def test_an_overflowing_derived_coefficient_is_a_numeric_failure():
     # finite amplitudes whose product, scale, sum or derivative is not
     big = Coefficient(u=(0.0, 0.0, 1e308))

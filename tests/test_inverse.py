@@ -73,24 +73,24 @@ def test_sweep_refuses_a_non_periodic_coefficient_by_name_before_any_solve(monke
     spectrum.cache_clear()
     template = OperatorSpec(KIND_SQUARE_PLUS_Q, p=Coefficient.harmonic_cos(1), Q=SIN2)
     with pytest.raises(PreconditionError, match="requires 1-periodic p "):
-        sweep(template, 4, n=16, k=8, target="Q")
+        sweep(template, 4, n=16, k=8)
     assert calls == []
 
 
 def test_q_sweep_rejects_Q():
     # the IPR1 sums read the spectra of H, not of H + Q
     with pytest.raises(PreconditionError, match="reads no Q"):
-        sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2, Q=SIN2), 4, n=16, k=8, target="q")
+        sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2, Q=SIN2), 4, n=16, k=8)
 
 
 def test_recover_v_zero_operator():
-    res = sweep(OperatorSpec(KIND_FOURTH_ORDER), 4, n=32, k=12, target="V")
+    res = sweep(OperatorSpec(KIND_FOURTH_ORDER), 4, n=32, k=12)
     rec = recover_V(res)
     assert np.max(np.abs(rec[:, 1])) < 1e-7
 
 
 def test_recover_v_pure_sine_q():
-    res = sweep(OperatorSpec(KIND_FOURTH_ORDER, q=SIN2), 8, n=128, k=48, target="V")
+    res = sweep(OperatorSpec(KIND_FOURTH_ORDER, q=SIN2), 8, n=128, k=48)
     rec = recover_V(res)
     expected = np.sin(2 * PI * res.taus)
     assert np.max(np.abs(rec[:, 1] - expected)) < 2e-2
@@ -99,14 +99,14 @@ def test_recover_v_pure_sine_q():
 
 
 def test_recover_v_pure_cos_p():
-    res = sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS2), 8, n=128, k=48, target="V")
+    res = sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS2), 8, n=128, k=48)
     rec = recover_V(res)
     expected = 2 * PI**2 * np.cos(2 * PI * res.taus)
     assert np.max(np.abs(rec[:, 1] - expected)) < 2e-2
 
 
 def test_recover_q_equals_recover_v_when_p_zero():
-    res = sweep(OperatorSpec(KIND_FOURTH_ORDER, q=SIN2), 8, n=64, k=24, target="q")
+    res = sweep(OperatorSpec(KIND_FOURTH_ORDER, q=SIN2), 8, n=64, k=24)
     v = recover_V(res).copy()
     q = recover_q(res)
     assert np.allclose(v, q, atol=0)
@@ -120,20 +120,20 @@ def test_recover_q_round_trip():
 
 
 def test_recover_q_zero_q_with_nonzero_p():
-    res = sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS2), 8, n=128, k=48, target="q")
+    res = sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS2), 8, n=128, k=48)
     rec = recover_q(res)
     assert np.max(np.abs(rec[:, 1])) < 2e-2
 
 
 def test_recover_Q_round_trip():
-    res = sweep(OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2), 8, n=96, k=40, target="Q")
+    res = sweep(OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2), 8, n=96, k=40)
     rec = recover_Q(res)
     expected = np.sin(2 * PI * res.taus)
     assert np.max(np.abs(rec[:, 1] - expected)) < 2e-2
 
 
 def test_recover_p_second_order():
-    res = sweep(OperatorSpec(KIND_SECOND_ORDER, p=COS2), 8, n=128, k=48, target="p_second_order")
+    res = sweep(OperatorSpec(KIND_SECOND_ORDER, p=COS2), 8, n=128, k=48)
     rec = recover_Q(res)
     expected = np.cos(2 * PI * res.taus)
     assert np.max(np.abs(rec[:, 1] - expected)) < 1e-2
@@ -143,33 +143,32 @@ ONE = Coefficient.constant(1.0)
 
 
 @pytest.mark.parametrize(
-    "target, recover, template, n, k, truth, bound",
-    [("q", recover_q, OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2 + ONE), 128, 48, SIN2, 2e-2),
-     ("V", recover_V, OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2 + ONE), 128, 48,
+    "recover, template, n, k, truth, bound",
+    [(recover_q, OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2 + ONE), 128, 48, SIN2, 2e-2),
+     (recover_V, OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2 + ONE), 128, 48,
       SIN2 + COS2.scale(2 * PI**2), 2e-2),
-     ("Q", recover_Q, OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2 + ONE), 96, 40, SIN2, 2e-2),
-     ("p_second_order", recover_Q, OperatorSpec(KIND_SECOND_ORDER, p=COS2 + ONE), 128, 48,
-      COS2, 1e-2)],
+     (recover_Q, OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2 + ONE), 96, 40, SIN2, 2e-2),
+     (recover_Q, OperatorSpec(KIND_SECOND_ORDER, p=COS2 + ONE), 128, 48, COS2, 1e-2)],
     ids=["q", "V", "Q", "p_second_order"],
 )
-def test_recovery_reads_a_target_of_any_mean_less_its_mean(target, recover, template, n, k,
-                                                            truth, bound):
+def test_recovery_reads_a_target_of_any_mean_less_its_mean(recover, template, n, k, truth,
+                                                            bound):
     # the sizes and bounds of the zero-mean round trips above
-    sr = sweep(template, 8, n=n, k=k, target=target)
+    sr = sweep(template, 8, n=n, k=k)
     assert np.max(np.abs(recover(sr)[:, 1] - truth.evaluate(sr.taus))) < bound
     assert abs(sr.recovered_wrap - truth.evaluate(1.0)) < bound
 
 
 @pytest.mark.parametrize(
-    "target, template, name",
-    [("q", OperatorSpec(KIND_FOURTH_ORDER, q=Coefficient.harmonic_cos(8)), "q"),
-     ("q", OperatorSpec(KIND_FOURTH_ORDER, p=Coefficient.harmonic_sin(8)), "p"),
-     ("Q", OperatorSpec(KIND_SQUARE_PLUS_Q, Q=Coefficient.harmonic_cos(8)), "Q"),
-     ("p_second_order", OperatorSpec(KIND_SECOND_ORDER, p=Coefficient.harmonic_cos(10)), "p")],
+    "template, name",
+    [(OperatorSpec(KIND_FOURTH_ORDER, q=Coefficient.harmonic_cos(8)), "q"),
+     (OperatorSpec(KIND_FOURTH_ORDER, p=Coefficient.harmonic_sin(8)), "p"),
+     (OperatorSpec(KIND_SQUARE_PLUS_Q, Q=Coefficient.harmonic_cos(8)), "Q"),
+     (OperatorSpec(KIND_SECOND_ORDER, p=Coefficient.harmonic_cos(10)), "p")],
     ids=["q-of-q", "p-of-q", "Q", "p_second_order"],
 )
 def test_sweep_refuses_a_target_whose_tau_degree_reaches_the_grid_before_any_solve(
-        monkeypatch, target, template, name):
+        monkeypatch, template, name):
     # cos(8 pi x) has tau-frequency 4: its mean over a 4-point grid is 1, not 0
     calls = []
     real = eigensolve.assemble_spec
@@ -178,7 +177,7 @@ def test_sweep_refuses_a_target_whose_tau_degree_reaches_the_grid_before_any_sol
     spectrum.cache_clear()
     with pytest.raises(PreconditionError,
                        match=f"on a 4-point grid requires {name} of degree below 8"):
-        sweep(template, 4, n=32, k=8, target=target)
+        sweep(template, 4, n=32, k=8)
     assert calls == []
 
 
@@ -212,8 +211,7 @@ def test_seeded_recovery_accuracy(t):
         sr = sweep(OperatorSpec(KIND_FOURTH_ORDER, p=p, q=f), 16, n=256, k=64, mode=mode)
         assert _recovery_error(sr, recover_q, f) < bound
     for mode in ("richardson", "fourier"):
-        sr = sweep(OperatorSpec(KIND_SECOND_ORDER, p=f), 16, n=256, k=64, mode=mode,
-                   target="p_second_order")
+        sr = sweep(OperatorSpec(KIND_SECOND_ORDER, p=f), 16, n=256, k=64, mode=mode)
         assert _recovery_error(sr, recover_Q, f) < 1e-8
 
 
@@ -246,26 +244,26 @@ def test_Q_sweep_solves_no_second_order_spectrum(monkeypatch):
     real = traces.spectrum
     monkeypatch.setattr(traces, "spectrum",
                         lambda spec, n: kinds.append(spec.kind) or real(spec, n))
-    sr = sweep(OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2), 4, n=64, k=16, target="Q")
+    sr = sweep(OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2), 4, n=64, k=16)
     # one h^2+Q spectrum per grid point and one at the wrap point
     assert kinds == [KIND_SQUARE_PLUS_Q] * 5
     assert [list(specs) for specs in sr.spectra] == [["nu"]] * 4
 
 
 def test_wrap_gap_small():
-    res = sweep(OperatorSpec(KIND_FOURTH_ORDER, q=SIN2), 4, n=64, k=24, target="V")
+    res = sweep(OperatorSpec(KIND_FOURTH_ORDER, q=SIN2), 4, n=64, k=24)
     recover_V(res)
     assert res.wrap_gap() < 1e-4
     # the reference Q sweep at the default sizes: 1.1e-5 from the h^2+Q sums
     # alone, 6.9e-5 when the h sums were subtracted
-    res = sweep(OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2), 4, target="Q")
+    res = sweep(OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2), 4)
     recover_Q(res)
     assert res.wrap_gap() < 3e-5
 
 
 def test_recovered_mean_consistency():
     # recovery takes the grid mean of the sums off, so recovered V has grid mean 0
-    res = sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS2.scale(0.5), q=SIN2), 8, n=128, k=48, target="V")
+    res = sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS2.scale(0.5), q=SIN2), 8, n=128, k=48)
     rec = recover_V(res)
     assert abs(np.mean(rec[:, 1])) < 1e-12
 
@@ -284,9 +282,31 @@ def test_sum_branch_smooth_under_grid_refinement():
     assert fine < 4.0 * max(coarse, 1e-6) + 1e-6
 
 
-def test_target_kind_mismatch_rejected():
-    with pytest.raises(PreconditionError):
-        sweep(OperatorSpec(KIND_SECOND_ORDER, p=COS2), 4, n=16, k=8, target="q")
+@pytest.mark.parametrize(
+    "recover, template",
+    [(recover_q, OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2)),
+     (recover_V, OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2)),
+     (recover_q, OperatorSpec(KIND_SECOND_ORDER, p=COS2)),
+     (recover_V, OperatorSpec(KIND_SECOND_ORDER, p=COS2)),
+     (recover_Q, OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2))],
+    ids=["q-of-h2Q", "V-of-h2Q", "q-of-h", "V-of-h", "Q-of-H"],
+)
+def test_recovery_refuses_a_sweep_of_another_kind(recover, template):
+    # the sweep's operator kind names its formula, hence what it can recover
+    sr = sweep(template, 4, n=32, k=8)
+    with pytest.raises(PreconditionError, match="needs a sweep of operator kind"):
+        recover(sr)
+    assert sr.recovered is None
+
+
+def test_one_H_sweep_serves_V_and_q():
+    # recover_q adds p''(tau)/2 to recover_V's values, at the wrap point too
+    sr = sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2), 8, n=64, k=16)
+    v, v_wrap = recover_V(sr)[:, 1].copy(), sr.recovered_wrap
+    q, q_wrap = recover_q(sr)[:, 1], sr.recovered_wrap
+    half_second = COS2.derivative(2).scale(0.5)
+    assert np.allclose(q - v, half_second.evaluate(sr.taus), rtol=0.0, atol=1e-12)
+    assert q_wrap - v_wrap == pytest.approx(half_second.evaluate(1.0), rel=0.0, abs=1e-12)
 
 
 def test_fit_trig_reproduces_samples():
@@ -295,6 +315,11 @@ def test_fit_trig_reproduces_samples():
     fitted = fit_trig(values, 2)
     assert np.allclose(fitted.evaluate(taus), values, atol=1e-12)
     assert fitted.is_one_periodic()
+
+
+def test_fit_trig_refuses_a_negative_harmonic_count():
+    with pytest.raises(ValueError, match="harmonic count -1 must be nonnegative"):
+        fit_trig(np.zeros(8), -1)
 
 
 def test_fit_trig_matches_the_least_squares_fit():
@@ -311,15 +336,14 @@ def test_fit_trig_matches_the_least_squares_fit():
 
 
 @pytest.mark.parametrize(
-    "template, target",
-    [
-        (OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2), "q"),
-        (OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2), "Q"),
-    ],
+    "template",
+    [OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2),
+     OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2)],
+    ids=["template0-q", "template1-Q"],
 )
-def test_sweep_defaults_to_fourier(template, target):
-    default = sweep(template, 4, n=64, k=24, target=target)
-    explicit = sweep(template, 4, n=64, k=24, target=target, mode="fourier")
+def test_sweep_defaults_to_fourier(template):
+    default = sweep(template, 4, n=64, k=24)
+    explicit = sweep(template, 4, n=64, k=24, mode="fourier")
     assert default.mode == "fourier"
     assert np.array_equal(default.accelerated, explicit.accelerated)
     assert default.wrap_accelerated == explicit.wrap_accelerated
@@ -328,9 +352,9 @@ def test_sweep_defaults_to_fourier(template, target):
 # -- recovery agrees with the hand-written inversions, less their grid mean ----------
 
 
-def swept(template, target):
+def swept(template):
     try:
-        return sweep(template, 4, n=32, k=8, target=target)
+        return sweep(template, 4, n=32, k=8)
     except PreconditionError:
         assume(False)  # trust horizon below K at this small N
 
@@ -339,11 +363,10 @@ def swept(template, target):
 def test_recovery_matches_hand_inversions(p, f):
     fourth = OperatorSpec(KIND_FOURTH_ORDER, p=p, q=f)
     cases = [
-        (swept(fourth, "q"), recover_q, hand_recover_q, False),
-        (swept(fourth, "V"), recover_V, hand_recover_V, False),
-        (swept(OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=f), "Q"), recover_Q, hand_recover_Q, True),
-        (swept(OperatorSpec(KIND_SECOND_ORDER, p=p), "p_second_order"),
-         recover_Q, hand_recover_Q, True),
+        (swept(fourth), recover_q, hand_recover_q, False),
+        (swept(fourth), recover_V, hand_recover_V, False),
+        (swept(OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=f)), recover_Q, hand_recover_Q, True),
+        (swept(OperatorSpec(KIND_SECOND_ORDER, p=p)), recover_Q, hand_recover_Q, True),
     ]
     for sr, recover, hand, bitwise in cases:
         want, want_wrap = hand(sr)
@@ -361,14 +384,15 @@ def test_recovery_matches_hand_inversions(p, f):
 
 
 @pytest.mark.parametrize(
-    "template, target, formula",
+    "template, formula",
     [
-        (OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2), "q", FormulaId.IPR1),
-        (OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2), "Q", FormulaId.IPQ),
+        (OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2), FormulaId.IPR1),
+        (OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2), FormulaId.IPQ),
     ],
+    ids=["template0-q-IPR1", "template1-Q-IPQ"],
 )
-def test_sweep_accelerated_equals_verify(template, target, formula):
-    sr = sweep(template, 4, n=64, k=16, target=target)
+def test_sweep_accelerated_equals_verify(template, formula):
+    sr = sweep(template, 4, n=64, k=16)
     cs = CoefficientSet(p=template.p, q=template.q, Q=template.Q)
     for tau, acc in zip([*sr.taus.tolist(), 1.0], [*sr.accelerated.tolist(), sr.wrap_accelerated]):
         assert acc == verify(formula, cs, n=64, k=16, mode=sr.mode, tau=tau).accelerated

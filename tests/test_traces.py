@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import math
 
@@ -24,6 +25,7 @@ from sinespec import (
     build_V,
     check_preconditions,
     dispute,
+    fit_trig,
     localization,
     partial_sums,
     rhs,
@@ -348,6 +350,14 @@ def test_basis_must_cover_2k(call):
 TEMPLATE_Q = OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2)
 
 
+@functools.cache
+def _trf3_sums():
+    """The set, TRF3 spectra at N = 64 and partial sums to K = 16 of TEMPLATE_Q."""
+    cs = CoefficientSet(p=COS2, q=SIN2)
+    spectra = spectra_for(FormulaId.TRF3, cs, 64)
+    return cs, spectra, partial_sums(FormulaId.TRF3, spectra, cs, 16)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -362,13 +372,19 @@ TEMPLATE_Q = OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2)
         lambda: sweep(TEMPLATE_Q, 4.5, n=64, k=16),
         lambda: sweep(TEMPLATE_Q, 4.0, n=64, k=16),
         lambda: sweep(TEMPLATE_Q, 4, n=64.0, k=16),
+        lambda: partial_sums(FormulaId.TRF3, _trf3_sums()[1], _trf3_sums()[0], 16.0),
+        lambda: summand(FormulaId.TRF3, 2.0, _trf3_sums()[1], _trf3_sums()[0]),
+        lambda: tail_accelerate(FormulaId.TRF3, _trf3_sums()[2], _trf3_sums()[0], 16.0),
+        lambda: fit_trig(np.zeros(8), 1.5),
     ],
     ids=["check-N", "check-K", "verify-N", "asym-K", "spectrum-cached", "spectrum-str",
-         "sweep-grid", "sweep-grid-float", "sweep-N"],
+         "sweep-grid", "sweep-grid-float", "sweep-N", "partial-sums-K", "summand-index",
+         "tail-K", "fit-trig-harmonics"],
 )
 def test_sizes_must_be_integers(monkeypatch, call):
     # refused before any solve: the CLI's type=int does not guard the library
     spectrum(OperatorSpec(KIND_SECOND_ORDER, p=COS2), 16)
+    _trf3_sums()
 
     def solve(*args, **kwargs):
         raise AssertionError("a size that is not an integer reached a solve")
