@@ -73,9 +73,6 @@ def load_coefficient(path: str | None) -> Coefficient:
         ) from exc
     if not isinstance(data, dict):
         raise CoefficientFileError(f"{path}: top level must be a JSON object")
-    for key in data:
-        if key not in ("u", "w"):
-            raise CoefficientFileError(f"{path}: unknown field {key!r} (expected 'u', 'w')")
     for key in ("u", "w"):
         seq = data.get(key, [])
         if not isinstance(seq, list) or not all(
@@ -237,12 +234,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "Q": (KIND_SQUARE_PLUS_Q, recover_Q, "Q"),
         "p2": (KIND_SECOND_ORDER, recover_Q, "p_second_order"),
     }[args.recover]
-    result = sweep(_operator_spec(args, kind), args.grid, n=args.n_basis, k=args.k_trunc,
-                   mode=args.mode)
+    result = sweep(_operator_spec(args, kind), args.grid, n=args.n_basis, k=args.k_trunc)
     recover(result)
     payload = {
         "target": target,
-        "mode": result.mode,
         "basis_n": result.basis_n,
         "k_trunc": result.k_trunc,
         "n0": result.n0,
@@ -330,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("H", "h2q"), default="H")
 
     p = command("sweep", cmd_sweep, "shifted-family sweep and recovery",
-                "--p", "--q", "--Q", "-N", "-K", "--mode", "--out", "--format")
+                "--p", "--q", "--Q", "-N", "-K", "--out", "--format")
     p.add_argument("--recover", required=True, choices=("V", "q", "Q", "p2"))
     p.add_argument("--grid", type=int, default=16, help="sweep grid size (default 16)")
     p.add_argument("--full-spectra", dest="full_spectra", action="store_true")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, PreconditionError
+from .errors import NumericError, PreconditionError, check_integer
 
 __all__ = [
     "Coefficient",
@@ -47,14 +47,17 @@ def _trimmed(values, keep_one=False):
     # text iterates as characters or byte values, and a bool reads as 0 or 1:
     # neither is a finite real
     text_or_bool = frozenset((str, bytes, bytearray, bool, np.str_, np.bytes_, np.bool_))
-    values = (math.nan,) if isinstance(values, (str, bytes, bytearray)) else tuple(values)
-    if not text_or_bool.isdisjoint(map(type, values)):
-        values = (math.nan,)
     try:
+        values = (math.nan,) if isinstance(values, (str, bytes, bytearray)) else tuple(values)
+        if not text_or_bool.isdisjoint(map(type, values)):
+            values = (math.nan,)
         vals = [float(v) for v in values]
     except OverflowError:
         # an integer beyond the float range is no finite real either
         vals = [math.inf]
+    except TypeError:
+        # no sequence, or an entry float() refuses (None, a complex, a list)
+        vals = [math.nan]
     if not all(math.isfinite(v) for v in vals):
         raise ValueError("coefficient amplitudes must be finite reals")
     while vals and vals[-1] == 0.0 and (len(vals) > 1 or not keep_one):
@@ -105,35 +108,37 @@ class Coefficient:
 
     # -- construction helpers ------------------------------------------------
 
+    # the amplitudes are handed on unconverted, so that the constructor's
+    # "finite reals" check applies to them
+
     @classmethod
     def constant(cls, c: float) -> "Coefficient":
-        return cls(u=(float(c),))
+        return cls(u=(c,))
 
     @classmethod
     def harmonic_cos(cls, j: int, amp: float = 1.0) -> "Coefficient":
         """amp * cos(pi j x)"""
+        check_integer("frequency index", j)
         if j < 0:
             raise ValueError("frequency index must be nonnegative")
-        u = [0.0] * (j + 1)
-        u[j] = float(amp)
-        return cls(u=tuple(u))
+        return cls(u=(0.0,) * j + (amp,))
 
     @classmethod
     def harmonic_sin(cls, j: int, amp: float = 1.0) -> "Coefficient":
         """amp * sin(pi j x)"""
+        check_integer("frequency index", j)
         if j < 1:
             raise ValueError("frequency index must be positive")
-        w = [0.0] * j
-        w[j - 1] = float(amp)
-        return cls(w=tuple(w))
+        return cls(w=(0.0,) * (j - 1) + (amp,))
 
     @classmethod
     def from_dict(cls, data) -> "Coefficient":
         if not isinstance(data, dict):
             raise ValueError("coefficient data must be a JSON object")
-        u = data.get("u", [0.0])
-        w = data.get("w", [])
-        return cls(u=tuple(u), w=tuple(w))
+        for key in data:
+            if key not in ("u", "w"):
+                raise ValueError(f"unknown field {key!r} (expected 'u', 'w')")
+        return cls(**data)
 
     def to_dict(self) -> dict:
         return {"u": list(self.u), "w": list(self.w)}

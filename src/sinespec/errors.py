@@ -25,9 +25,11 @@ class CoefficientFileError(ValueError):
 
 
 def check_integer(name: str, value) -> None:
-    """Refuse a size that is not an integer (a float such as 64.0 too);
-    Python and numpy integers pass."""
+    """Refuse a size that is not an integer (a float such as 64.0 or a bool
+    too); Python and numpy integers pass."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise PreconditionError(f"{name}={value!r} must be an integer") from None

@@ -25,14 +25,15 @@ solves no h.  The IP2 difference, TRF3 of nu less TRF3 of alpha^2, reads
 the same Q(tau) but solves h twice per grid point, and the rounding of its
 graded alpha^2 sums varies with tau, which no mean removes.
 
-The closed-form ``fourier`` tail is the default acceleration, as in the
-CLI.  Its model of the IPR1 and IPQ sums carries the 1/n^2 constant in
-closed form, exact through its third-order part, where the perturbation
-series ends (``traces._tail_constant``).  At the default sizes, under
-p = cos(2 pi x), it recovers q = sin(2 pi x) on a 16-point grid to
-4.0e-5 and Q = sin(2 pi x) on a 4-point grid to 3.0e-5, against 8.1e-5
-and 6.2e-5 with ``richardson``, which needs no model.  q and Q are read
-from H and h^2+Q spectra solved by the factored solve (see ``eigensolve``).
+A sweep sums in ``fourier``, the closed-form tail, and takes no mode: the
+grid mean cancels the tail, which is tau-invariant on a 1-periodic set,
+so ``none`` recovers the same values to rounding, and ``richardson``
+about doubles the error (at the default sizes, under p = cos(2 pi x),
+q = sin(2 pi x) on a 16-point grid to 8.1e-5 against 4.0e-5, and
+Q = sin(2 pi x) on a 4-point grid to 6.2e-5 against 3.0e-5).  The sums
+of another mode at a grid point are ``traces.verify(..., mode=, tau=)``.
+q and Q are read from H and h^2+Q spectra solved by the factored solve
+(see ``eigensolve``).
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ class SweepResult:
     n0: int
     basis_n: int
     k_trunc: int
-    mode: str
     wrap_accelerated: float
     recovered: np.ndarray | None = None
     recovered_wrap: float = float("nan")
@@ -98,8 +98,8 @@ class SweepResult:
         return float(abs(self.recovered_wrap - self.recovered[0, 1]))
 
 
-def sweep(template: OperatorSpec, grid_size: int, n: int = DEFAULT_N, k: int = DEFAULT_K,
-          mode: str = "fourier") -> SweepResult:
+def sweep(template: OperatorSpec, grid_size: int, n: int = DEFAULT_N,
+          k: int = DEFAULT_K) -> SweepResult:
     """Solve the shifted family on a uniform grid of tau in [0, 1), and
     at the wrap point tau = 1, through the formula of the template's kind."""
     check_integer("sweep grid size", grid_size)
@@ -107,7 +107,7 @@ def sweep(template: OperatorSpec, grid_size: int, n: int = DEFAULT_N, k: int = D
         raise PreconditionError("sweep grid must have at least 4 points")
     formula, _, names = _SWEEPS[template.kind]
     coeffs = CoefficientSet(p=template.p, q=template.q, Q=template.Q)
-    entry = checked(formula, coeffs, n, k, mode)
+    entry = checked(formula, coeffs, n, k, "fourier")
     for name in names:
         if getattr(coeffs, name).degree >= 2 * grid_size:
             raise PreconditionError(f"recovery from {formula.value} sums on a {grid_size}-point "
@@ -117,7 +117,7 @@ def sweep(template: OperatorSpec, grid_size: int, n: int = DEFAULT_N, k: int = D
     # the coefficients at each grid point and at the wrap point tau = 1,
     # shifted before any solve, so that a non-periodic one is refused first
     points = [coeffs.shifted(tau) for tau in [*taus.tolist(), 1.0]]
-    runs = [evaluate(entry, entry.read(shifted), n, k, mode) for shifted in points]
+    runs = [evaluate(entry, entry.read(shifted), n, k, "fourier") for shifted in points]
     spectra_list = [spectra for spectra, _, _ in runs[:-1]]
     acc = np.array([accelerated for _, _, accelerated in runs])
     trust = np.array([min(s.n_trusted for s in specs.values()) for specs in spectra_list])
@@ -138,7 +138,6 @@ def sweep(template: OperatorSpec, grid_size: int, n: int = DEFAULT_N, k: int = D
         n0=n0,
         basis_n=n,
         k_trunc=k,
-        mode=mode,
         wrap_accelerated=float(acc[-1]),
     )
 

@@ -244,7 +244,6 @@ def _endpoint_tail(g: Coefficient, k: int) -> float:
     return ((fg.end0 + fg.end1) / 4.0 - fg.mean / 2.0) - float(_even_cosines(g, k).sum())
 
 
-@functools.lru_cache(maxsize=256)
 def _tail_constant(p: Coefficient, v: Coefficient) -> float:
     """C in the TRF3 summand law -c_2n(V) + C/n^2, in closed form:
 
@@ -255,8 +254,8 @@ def _tail_constant(p: Coefficient, v: Coefficient) -> float:
     its second-order part.  The series ends there: give p weight 2, V
     weight 4 and d/dx weight 1; C weighs 6, and every term of fourth or
     higher order weighs 8 or more (Gelfand & Dikii, 1975).  The mean of V
-    does not enter, and a constant p gives exactly 0.  Memoized by value,
-    like ``spectrum``.
+    does not enter, and a constant p gives exactly 0.  Not memoized: it
+    runs on a miss of ``Formula.read``, or once per ``asym_residuals``.
     """
     p0 = p._mean()
     pt = p - Coefficient.constant(p0)

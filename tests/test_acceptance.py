@@ -188,15 +188,10 @@ def test_criterion_10_localization():
 
 def test_criterion_11_inverse_round_trip():
     t0 = time.perf_counter()
-    res = sweep(
-        OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2), 16, n=256, k=64, mode="richardson"
-    )
+    res = sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2), 16, n=256, k=64)
     rec = recover_q(res)
     sup_q = float(np.max(np.abs(rec[:, 1] - np.sin(2 * PI * res.taus))))
-    res2 = sweep(
-        OperatorSpec(KIND_SECOND_ORDER, p=COS2), 16, n=256, k=64,
-        mode="richardson",
-    )
+    res2 = sweep(OperatorSpec(KIND_SECOND_ORDER, p=COS2), 16, n=256, k=64)
     rec2 = recover_Q(res2)
     sup_p = float(np.max(np.abs(rec2[:, 1] - np.cos(2 * PI * res2.taus))))
     elapsed = time.perf_counter() - t0

@@ -317,8 +317,7 @@ def test_sweep_command_csv(tmp_path, capsys, cos2):
     code = main(
         [
             "sweep", "--recover", "q", "--p", cos2, "--q", sin2,
-            "--grid", "8", "-N", "64", "-K", "24",
-            "--mode", "richardson", "--out", str(out_path),
+            "--grid", "8", "-N", "64", "-K", "24", "--out", str(out_path),
         ]
     )
     assert code == 0
@@ -334,8 +333,7 @@ def test_sweep_grid_16_row_count(tmp_path, cos2):
     code = main(
         [
             "sweep", "--recover", "q", "--p", cos2, "--q", sin2,
-            "--grid", "16", "-N", "32", "-K", "12",
-            "--mode", "richardson", "--out", str(out_path),
+            "--grid", "16", "-N", "32", "-K", "12", "--out", str(out_path),
         ]
     )
     assert code == 0
@@ -408,6 +406,7 @@ def test_unknown_command_rejected():
         ["localize", "--tol", "1"],
         ["sweep", "--recover", "q", "--tau", "0.1"],
         ["sweep", "--recover", "q", "--tol", "1"],
+        ["sweep", "--recover", "q", "--mode", "richardson"],
         ["trace", "--center-q", "--formula=TRS"],
     ],
     ids=lambda argv: f"{argv[0]} {argv[-2]}",

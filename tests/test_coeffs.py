@@ -48,12 +48,48 @@ def test_amplitudes_must_be_finite_reals(amp):
     "build",
     [lambda: Coefficient.from_dict({"u": "12"}),
      lambda: Coefficient(w=b"\x01\x02"),
-     lambda: Coefficient(u=(True, False, True))],
-    ids=["str", "bytes", "bool"],
+     lambda: Coefficient(u=(True, False, True)),
+     lambda: Coefficient.constant("1"),
+     lambda: Coefficient.constant(True),
+     lambda: Coefficient.harmonic_cos(2, True)],
+    ids=["str", "bytes", "bool", "constant-str", "constant-bool", "harmonic-bool-amplitude"],
 )
 def test_text_and_bool_amplitudes_are_refused(build):
     # as the CLI refuses them in files: not read as digits, bytes or 0/1
     with pytest.raises(ValueError, match="finite reals"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Coefficient.harmonic_cos(2.0),
+     lambda: Coefficient.harmonic_sin(2.0),
+     lambda: Coefficient.harmonic_sin(True),
+     lambda: Coefficient.harmonic_cos(False, 3.0)],
+    ids=["cos-float", "sin-float", "sin-bool", "cos-bool"],
+)
+def test_frequency_index_must_be_an_integer(build):
+    with pytest.raises(ValueError, match="frequency index=.* must be an integer"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [(lambda: Coefficient(u=None), "finite reals"),
+     (lambda: Coefficient(w=3), "finite reals"),
+     (lambda: Coefficient.from_dict({"u": None}), "finite reals"),
+     (lambda: Coefficient.from_dict({"u": 5}), "finite reals"),
+     (lambda: Coefficient(u=(None,)), "finite reals"),
+     (lambda: Coefficient(u=(1 + 2j,)), "finite reals"),
+     (lambda: Coefficient(u=([1],)), "finite reals"),
+     (lambda: Coefficient.from_dict({"u": [1], "x": [2]}),
+      r"^unknown field 'x' \(expected 'u', 'w'\)$")],
+    ids=["u-none", "w-number", "dict-u-none", "dict-u-number", "none-entry", "complex-entry",
+         "list-entry", "dict-unknown-field"],
+)
+def test_malformed_amplitude_containers_are_refused(build, message):
+    # a ValueError, as every refused amplitude is, not float()'s TypeError
+    with pytest.raises(ValueError, match=message):
         build()
 
 

@@ -441,7 +441,6 @@ def test_memo_caches_are_found():
         "sinespec.eigensolve.spectrum",
         "sinespec.traces._zeta2_tail",
         "sinespec.traces._endpoint_tail",
-        "sinespec.traces._tail_constant",
         "OperatorSpec.fourth_order_q",
         "CoefficientSet.shifted",
         "CoefficientSet.digest",

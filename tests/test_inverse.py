@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -207,12 +208,10 @@ def _recovery_error(sr, recover, truth):
 def test_seeded_recovery_accuracy(t):
     # the grid mean takes off every tau-invariant part of the sums' error
     p, f = _seeded_template(t)
-    for mode, bound in (("richardson", 2e-4), ("fourier", 1e-4)):
-        sr = sweep(OperatorSpec(KIND_FOURTH_ORDER, p=p, q=f), 16, n=256, k=64, mode=mode)
-        assert _recovery_error(sr, recover_q, f) < bound
-    for mode in ("richardson", "fourier"):
-        sr = sweep(OperatorSpec(KIND_SECOND_ORDER, p=f), 16, n=256, k=64, mode=mode)
-        assert _recovery_error(sr, recover_Q, f) < 1e-8
+    sr = sweep(OperatorSpec(KIND_FOURTH_ORDER, p=p, q=f), 16, n=256, k=64)
+    assert _recovery_error(sr, recover_q, f) < 1e-4
+    sr = sweep(OperatorSpec(KIND_SECOND_ORDER, p=f), 16, n=256, k=64)
+    assert _recovery_error(sr, recover_Q, f) < 1e-8
 
 
 def _conftest_draw(rng, zero_mean):
@@ -229,14 +228,12 @@ def _conftest_draw(rng, zero_mean):
 
 @pytest.mark.parametrize("t", range(6))
 def test_seeded_Q_recovery_accuracy(t):
-    # read from the h^2+Q sums alone, worst 2.9e-5 (fourier) and 6.0e-5
-    # (richardson) over these templates, against 1.1e-4 and 2.2e-4 when the
-    # h sums were subtracted
+    # read from the h^2+Q sums alone, worst 2.9e-5 over these templates,
+    # against 1.1e-4 when the h sums were subtracted
     rng = np.random.default_rng(200 + t)
     p, f = _conftest_draw(rng, False), _conftest_draw(rng, True)
-    for mode, bound in (("richardson", 1e-4), ("fourier", 5e-5)):
-        sr = sweep(OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=f), 4, mode=mode)
-        assert _recovery_error(sr, recover_Q, f) < bound
+    sr = sweep(OperatorSpec(KIND_SQUARE_PLUS_Q, p=p, Q=f), 4)
+    assert _recovery_error(sr, recover_Q, f) < 5e-5
 
 
 def test_Q_sweep_solves_no_second_order_spectrum(monkeypatch):
@@ -335,20 +332,6 @@ def test_fit_trig_matches_the_least_squares_fit():
             assert np.max(np.abs(np.subtract(got.w, want.w)), initial=0.0) <= 1e-14
 
 
-@pytest.mark.parametrize(
-    "template",
-    [OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2),
-     OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2)],
-    ids=["template0-q", "template1-Q"],
-)
-def test_sweep_defaults_to_fourier(template):
-    default = sweep(template, 4, n=64, k=24)
-    explicit = sweep(template, 4, n=64, k=24, mode="fourier")
-    assert default.mode == "fourier"
-    assert np.array_equal(default.accelerated, explicit.accelerated)
-    assert default.wrap_accelerated == explicit.wrap_accelerated
-
-
 # -- recovery agrees with the hand-written inversions, less their grid mean ----------
 
 
@@ -395,4 +378,28 @@ def test_sweep_accelerated_equals_verify(template, formula):
     sr = sweep(template, 4, n=64, k=16)
     cs = CoefficientSet(p=template.p, q=template.q, Q=template.Q)
     for tau, acc in zip([*sr.taus.tolist(), 1.0], [*sr.accelerated.tolist(), sr.wrap_accelerated]):
-        assert acc == verify(formula, cs, n=64, k=16, mode=sr.mode, tau=tau).accelerated
+        assert acc == verify(formula, cs, n=64, k=16, mode="fourier", tau=tau).accelerated
+
+
+@pytest.mark.parametrize("n, k, grid", [(64, 16, 4), (256, 64, 16)])
+@pytest.mark.parametrize(
+    "template, formula, recover",
+    [
+        (OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2), FormulaId.IPR1, recover_q),
+        (OperatorSpec(KIND_SQUARE_PLUS_Q, p=COS2, Q=SIN2), FormulaId.IPQ, recover_Q),
+        (OperatorSpec(KIND_SECOND_ORDER, p=COS2), FormulaId.GLF, recover_Q),
+    ],
+    ids=["H", "h2q", "h"],
+)
+def test_sweep_recovers_what_unaccelerated_sums_recover(template, formula, recover, n, k, grid):
+    # the grid mean cancels the tau-invariant fourier tail, so a sweep needs
+    # no acceleration mode: the sums of mode none recover the same values
+    sr = sweep(template, grid, n=n, k=k)
+    cs = CoefficientSet(p=template.p, q=template.q, Q=template.Q)
+    plain = [verify(formula, cs, n=n, k=k, mode="none", tau=tau).accelerated
+             for tau in [*sr.taus.tolist(), 1.0]]
+    bare = dataclasses.replace(sr, accelerated=np.array(plain[:-1]),
+                               wrap_accelerated=plain[-1], recovered=None)
+    got = np.append(recover(sr)[:, 1], sr.recovered_wrap)
+    want = np.append(recover(bare)[:, 1], bare.recovered_wrap)
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))

@@ -282,10 +282,8 @@ def test_small_k_rejected():
          ValueError),
         (lambda: sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2), 4, n=64, k=4),
          PreconditionError),
-        (lambda: sweep(OperatorSpec(KIND_FOURTH_ORDER, p=COS2, q=SIN2), 4, n=64, k=16,
-                       mode="exact"), ValueError),
     ],
-    ids=["verify-small-k", "verify-bad-mode", "sweep-small-k", "sweep-bad-mode"],
+    ids=["verify-small-k", "verify-bad-mode", "sweep-small-k"],
 )
 def test_acceleration_refused_before_any_assembly(monkeypatch, call, error):
     calls = []
@@ -376,10 +374,12 @@ def _trf3_sums():
         lambda: summand(FormulaId.TRF3, 2.0, _trf3_sums()[1], _trf3_sums()[0]),
         lambda: tail_accelerate(FormulaId.TRF3, _trf3_sums()[2], _trf3_sums()[0], 16.0),
         lambda: fit_trig(np.zeros(8), 1.5),
+        lambda: fit_trig(np.arange(5.0), True),
+        lambda: summand(FormulaId.TRF3, True, _trf3_sums()[1], _trf3_sums()[0]),
     ],
     ids=["check-N", "check-K", "verify-N", "asym-K", "spectrum-cached", "spectrum-str",
          "sweep-grid", "sweep-grid-float", "sweep-N", "partial-sums-K", "summand-index",
-         "tail-K", "fit-trig-harmonics"],
+         "tail-K", "fit-trig-harmonics", "fit-trig-bool", "summand-bool"],
 )
 def test_sizes_must_be_integers(monkeypatch, call):
     # refused before any solve: the CLI's type=int does not guard the library
@@ -400,6 +400,8 @@ def test_numpy_integer_sizes_are_accepted():
     want = verify(FormulaId.GLF, cs, n=64, k=16)
     assert verify(FormulaId.GLF, cs, n=np.int64(64), k=np.int16(16)).gap == want.gap
     assert sweep(TEMPLATE_Q, np.int64(4), n=64, k=16).taus.size == 4
+    assert Coefficient.harmonic_cos(np.int64(2)) == COS2
+    assert Coefficient.harmonic_sin(np.int64(2)) == SIN2
 
 
 # The coefficients each formula's spectra read, stated independently of ROLES.
